@@ -2,6 +2,10 @@
 // substrate and the sequential BC building blocks.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "micro_smoke.hpp"
 
 #include "bc/brandes.hpp"
@@ -86,6 +90,64 @@ void BM_DynamicGraphSnapshot(benchmark::State& state) {
                           g.num_arcs());
 }
 BENCHMARK(BM_DynamicGraphSnapshot);
+
+/// `count` distinct edges drawn from the test graph: absent ones when
+/// `present` is false, existing ones otherwise.
+std::vector<std::pair<VertexId, VertexId>> sample_edges(const CSRGraph& g,
+                                                        bool present,
+                                                        int count) {
+  util::Rng rng(11);
+  CSRGraph scratch = g;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  const auto n = static_cast<std::uint64_t>(g.num_vertices());
+  while (static_cast<int>(edges.size()) < count) {
+    VertexId u = 0;
+    VertexId v = 0;
+    if (present) {
+      const auto a = static_cast<std::size_t>(
+          rng.next_below(static_cast<std::uint64_t>(scratch.num_arcs())));
+      u = scratch.arc_src()[a];
+      v = scratch.arc_dst()[a];
+    } else {
+      u = static_cast<VertexId>(rng.next_below(n));
+      v = static_cast<VertexId>(rng.next_below(n));
+    }
+    // Editing the scratch copy keeps the sample free of repeats.
+    const bool fresh =
+        present ? scratch.remove_edge(u, v) : scratch.insert_edge(u, v);
+    if (fresh) edges.emplace_back(u, v);
+  }
+  return edges;
+}
+
+/// One in-place CSRGraph edit per iteration (the DynamicBc structure
+/// phase); the graph is reset, untimed, once the sampled edges run out.
+template <bool kInsert>
+void BM_CsrEdit(benchmark::State& state) {
+  constexpr int kEdges = 256;
+  const auto edges = sample_edges(test_graph(), /*present=*/!kInsert, kEdges);
+  CSRGraph g = test_graph();
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (next == edges.size()) {
+      state.PauseTiming();
+      g = test_graph();
+      next = 0;
+      state.ResumeTiming();
+    }
+    const auto [u, v] = edges[next++];
+    const bool applied = kInsert ? g.insert_edge(u, v) : g.remove_edge(u, v);
+    benchmark::DoNotOptimize(applied);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+void BM_CsrInsertEdge(benchmark::State& state) { BM_CsrEdit<true>(state); }
+BENCHMARK(BM_CsrInsertEdge);
+
+void BM_CsrRemoveEdge(benchmark::State& state) { BM_CsrEdit<false>(state); }
+BENCHMARK(BM_CsrRemoveEdge);
 
 void BM_DynamicCpuUpdate(benchmark::State& state) {
   // One full insertion update (all sources) on the small-world graph.

@@ -64,8 +64,7 @@ EngineKind parse_engine_flag(std::string_view flag) {
 }
 
 DynamicBc::DynamicBc(const CSRGraph& g, const Options& options)
-    : dyn_(DynamicGraph::from_csr(g)),
-      csr_(g),
+    : csr_(g),
       store_(g.num_vertices(), options.approx),
       options_(options) {
   if (options_.num_devices < 1) {
@@ -208,13 +207,10 @@ UpdateOutcome DynamicBc::insert_edge(VertexId u, VertexId v) {
                    {{"u", static_cast<double>(u)},
                     {"v", static_cast<double>(v)}});
   util::Stopwatch structure_clock;
-  UpdateOutcome outcome;
-  if (!dyn_.insert_edge(u, v)) {
-    return outcome;  // self loop, out of range, or already present
+  if (!csr_.insert_edge(u, v)) {
+    return {};  // self loop, out of range, or already present
   }
-  csr_ = dyn_.snapshot_csr();
-  outcome.structure_wall_seconds = structure_clock.elapsed_s();
-  outcome = run_update(u, v);
+  UpdateOutcome outcome = run_update(u, v);
   outcome.inserted = 1;
   outcome.structure_wall_seconds = structure_clock.elapsed_s() -
                                    outcome.update_wall_seconds;
@@ -296,10 +292,9 @@ UpdateOutcome DynamicBc::remove_edge(VertexId u, VertexId v) {
                     {"v", static_cast<double>(v)}});
   util::Stopwatch structure_clock;
   UpdateOutcome outcome;
-  if (!dyn_.remove_edge(u, v)) {
-    return outcome;
+  if (!csr_.remove_edge(u, v)) {
+    return outcome;  // self loop, out of range, or absent
   }
-  csr_ = dyn_.snapshot_csr();
   outcome.structure_wall_seconds = structure_clock.elapsed_s();
   util::Stopwatch clock;
   if (options_.engine == EngineKind::kCpu) {

@@ -13,9 +13,9 @@
 // scores. GPU engines optionally shard their per-source jobs across
 // `num_devices` simulated devices with cross-device work stealing
 // (bc/sharded_gpu.hpp) - scores stay bit-identical to one device; only the
-// modeled time scales. Graph-structure maintenance cost (the CSR snapshot
-// refresh after an insertion) is tracked separately from analytic-update
-// time, matching the paper's methodology (§IV cites STINGER [23] for the
+// modeled time scales. Graph-structure maintenance cost (patching the CSR
+// in place after a write) is tracked separately from analytic-update time,
+// matching the paper's methodology (§IV cites STINGER [23] for the
 // structure side).
 #pragma once
 
@@ -35,7 +35,7 @@
 #include "bc/sharded_gpu.hpp"
 #include "bc/static_gpu.hpp"
 #include "bc/update_outcome.hpp"
-#include "graph/dynamic_graph.hpp"
+#include "graph/csr_graph.hpp"
 
 namespace bcdyn {
 
@@ -94,7 +94,8 @@ class DynamicBc {
     RecoveryPolicy recovery;
   };
 
-  /// Snapshot `g`; the analytic owns its own dynamic copy of the graph.
+  /// Copies `g`; the analytic owns that one copy and patches it in place on
+  /// every accepted write.
   DynamicBc(const CSRGraph& g, const Options& options);
 
   /// Initial static computation (fills the per-source store and scores).
@@ -144,7 +145,6 @@ class DynamicBc {
   const BcStore& store() const { return store_; }
   BcStore& store() { return store_; }
   const CSRGraph& graph() const { return csr_; }
-  const DynamicGraph& dynamic_graph() const { return dyn_; }
   bool computed() const { return computed_; }
   EngineKind engine() const { return options_.engine; }
   const Options& options() const { return options_; }
@@ -180,8 +180,8 @@ class DynamicBc {
   void run_recovered(const char* what,
                      const std::function<void()>& engine_pass,
                      UpdateOutcome& outcome);
-  /// Structure phase of a batch insertion: admits edges into the dynamic
-  /// graph, builds the incremental snapshots, and advances csr_ to the
+  /// Structure phase of a batch insertion: builds the incremental
+  /// snapshots (which admit or reject each edge) and advances csr_ to the
   /// batch's final graph. Fills outcome.inserted/skipped/
   /// structure_wall_seconds; the snapshots are empty when nothing was
   /// accepted. Shared by insert_edge_batch and the pipelined driver
@@ -202,7 +202,6 @@ class DynamicBc {
   void record_telemetry(trace::UpdateKind kind,
                         const UpdateOutcome& outcome) const;
 
-  DynamicGraph dyn_;
   CSRGraph csr_;
   BcStore store_;
   Options options_;

@@ -114,15 +114,18 @@ bool DynamicGraph::has_edge(VertexId u, VertexId v) const {
 }
 
 CSRGraph DynamicGraph::snapshot_csr() const {
-  COOGraph coo;
-  coo.num_vertices = num_vertices();
-  coo.edges.reserve(static_cast<std::size_t>(num_edges_));
-  for (VertexId v = 0; v < num_vertices(); ++v) {
-    for_each_neighbor(v, [&](VertexId w) {
-      if (v < w) coo.add_edge(v, w);
-    });
+  const auto n = static_cast<std::size_t>(num_vertices());
+  std::vector<EdgeId> row_offsets(n + 1, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    row_offsets[v + 1] = row_offsets[v] + degrees_[v];
   }
-  return CSRGraph::from_coo(std::move(coo));
+  std::vector<VertexId> col_indices;
+  col_indices.reserve(static_cast<std::size_t>(num_arcs()));
+  for (VertexId v = 0; v < num_vertices(); ++v) {
+    for_each_neighbor(v, [&](VertexId w) { col_indices.push_back(w); });
+  }
+  return CSRGraph::from_rows(num_vertices(), std::move(row_offsets),
+                             std::move(col_indices));
 }
 
 bool DynamicGraph::check_invariants() const {

@@ -6,6 +6,12 @@
 // chain of fixed-size edge blocks allocated from a growing arena, giving
 // O(1) amortized insertion, cache-friendly traversal, and stable iteration
 // order. Removal swaps with the last slot of the chain (O(degree) search).
+//
+// DynamicBc does not use it: the analytic patches its CSRGraph in place
+// (CSRGraph::insert_edge / remove_edge). Its remaining users are the
+// repository benchmark's reference mirror (perfbench/), the graph
+// microbenchmarks (bench/micro_graph.cpp), and the tests, where its
+// snapshot is the reference the patched CSR is checked against.
 #pragma once
 
 #include <cstddef>
@@ -63,7 +69,9 @@ class DynamicGraph {
     }
   }
 
-  /// O(n + m) conversion to an immutable CSR snapshot.
+  /// CSR snapshot, byte-identical to CSRGraph::from_coo of the edge set:
+  /// each row is copied straight from its block chain and sorted on its
+  /// own, O(n + m log d_max).
   CSRGraph snapshot_csr() const;
 
   /// Internal-consistency check (block counts vs degrees vs edge set);

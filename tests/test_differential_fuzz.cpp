@@ -21,6 +21,7 @@
 #include "bc/dynamic_gpu.hpp"
 #include "gpusim/fault_injector.hpp"
 #include "gen/suite.hpp"
+#include "graph/dynamic_graph.hpp"
 #include "test_helpers.hpp"
 #include "trace/metrics.hpp"
 
@@ -239,6 +240,141 @@ TEST_P(FaultedDifferentialFuzz, RecoveredGpuMatchesCpuReferenceEveryStep) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Suite, FaultedDifferentialFuzz,
+                         ::testing::ValuesIn(gen::suite_names()),
+                         [](const auto& info) { return info.param; });
+
+// --- patched-CSR mode -----------------------------------------------------
+// DynamicBc patches its one CSRGraph in place on every write. A
+// DynamicGraph fed the same writes is the reference: after every step the
+// analytic's graph must equal the reference's snapshot_csr() array for
+// array (row offsets, neighbors, arc_src/arc_dst), and the two must agree
+// on which writes they accepted. The streams mix valid inserts and
+// removals with writes both must reject: duplicates, self loops,
+// out-of-range endpoints, and removals of absent edges.
+
+constexpr int kPatchSteps = 40;
+
+/// One write of the mixed stream, drawn against the current graph `g`.
+struct Write {
+  bool insert = true;
+  VertexId u = 0;
+  VertexId v = 0;
+};
+
+Write random_write(const CSRGraph& g, util::Rng& rng) {
+  const VertexId n = g.num_vertices();
+  const auto any_vertex = [&] {
+    return static_cast<VertexId>(rng.next_below(static_cast<std::uint64_t>(n)));
+  };
+  const auto present = [&](bool insert) {
+    const auto a = static_cast<std::size_t>(
+        rng.next_below(static_cast<std::uint64_t>(g.num_arcs())));
+    return Write{insert, g.arc_src()[a], g.arc_dst()[a]};
+  };
+  const auto absent = [&](bool insert) {
+    const auto [u, v] = test::random_absent_edge(g, rng);
+    return Write{insert, u, v};
+  };
+  switch (rng.next_below(10)) {
+    case 0:
+      return present(/*insert=*/true);  // duplicate insert
+    case 1: {
+      const VertexId v = any_vertex();
+      return {rng.next_bool(0.5), v, v};  // self loop
+    }
+    case 2:  // out-of-range endpoint
+      return {rng.next_bool(0.5), any_vertex(), rng.next_bool(0.5) ? n : -1};
+    case 3:
+      return absent(/*insert=*/false);  // absent removal
+    case 4:
+    case 5:
+    case 6:
+      return present(/*insert=*/false);
+    default:
+      return absent(/*insert=*/true);
+  }
+}
+
+class PatchedCsrDifferential : public ::testing::TestWithParam<std::string> {
+};
+
+TEST_P(PatchedCsrDifferential, GraphEqualsDynamicGraphSnapshotEveryStep) {
+  const std::string gen_name = GetParam();
+  const auto entry = gen::build_suite_graph(gen_name, kScale, 977);
+  const ApproxConfig cfg{.num_sources = kNumSources, .seed = 31};
+  for (const EngineKind engine : {EngineKind::kCpu, EngineKind::kGpuEdge}) {
+    SCOPED_TRACE(to_string(engine));
+    DynamicBc::Options options;
+    options.engine = engine;
+    options.approx = cfg;
+    DynamicBc bc(entry.graph, options);
+    bc.compute();
+    DynamicGraph ref = DynamicGraph::from_csr(entry.graph);
+    BCDYN_SEEDED_RNG(rng, 980 + std::hash<std::string>{}(gen_name) % 1000);
+    int applied = 0;
+    for (int step = 0; step < kPatchSteps; ++step) {
+      const Write w = random_write(bc.graph(), rng);
+      const bool want = w.insert ? ref.insert_edge(w.u, w.v)
+                                 : ref.remove_edge(w.u, w.v);
+      const UpdateOutcome got =
+          w.insert ? bc.insert_edge(w.u, w.v) : bc.remove_edge(w.u, w.v);
+      ASSERT_EQ(got.inserted == 1, want)
+          << (w.insert ? "insert" : "remove") << " (" << w.u << ", " << w.v
+          << ") verdicts differ at step " << step;
+      ASSERT_TRUE(bc.graph() == ref.snapshot_csr())
+          << "patched CSR diverged from the snapshot at step " << step;
+      applied += want ? 1 : 0;
+    }
+    EXPECT_GT(applied, 0);
+    EXPECT_LT(bc.verify_against_recompute(), 1e-7);
+  }
+}
+
+TEST_P(PatchedCsrDifferential, BatchStagingAdmitsLikeDynamicGraph) {
+  const std::string gen_name = GetParam();
+  const auto entry = gen::build_suite_graph(gen_name, kScale, 977);
+  const VertexId n = entry.graph.num_vertices();
+  const ApproxConfig cfg{.num_sources = kNumSources, .seed = 31};
+  for (const EngineKind engine : {EngineKind::kCpu, EngineKind::kGpuEdge}) {
+    SCOPED_TRACE(to_string(engine));
+    DynamicBc::Options options;
+    options.engine = engine;
+    options.approx = cfg;
+    DynamicBc bc(entry.graph, options);
+    bc.compute();
+    DynamicGraph ref = DynamicGraph::from_csr(entry.graph);
+    BCDYN_SEEDED_RNG(rng, 981 + std::hash<std::string>{}(gen_name) % 1000);
+    for (int b = 0; b < 4; ++b) {
+      const CSRGraph& g = bc.graph();
+      const auto fresh = test::random_absent_edge(g, rng);
+      const auto other = test::random_absent_edge(g, rng);
+      const auto a = static_cast<std::size_t>(
+          rng.next_below(static_cast<std::uint64_t>(g.num_arcs())));
+      const std::vector<std::pair<VertexId, VertexId>> edges = {
+          fresh,
+          {fresh.second, fresh.first},  // in-batch repeat, reversed
+          {g.arc_src()[a], g.arc_dst()[a]},  // already present
+          other,
+          {3, 3},  // self loop
+          {0, n},  // out of range
+          other,   // in-batch repeat
+      };
+      int want_inserted = 0;
+      int want_skipped = 0;
+      for (const auto& [u, v] : edges) {
+        ++(ref.insert_edge(u, v) ? want_inserted : want_skipped);
+      }
+      const UpdateOutcome got = bc.insert_edge_batch(edges);
+      ASSERT_EQ(got.inserted, want_inserted) << "batch " << b;
+      ASSERT_EQ(got.skipped, want_skipped) << "batch " << b;
+      ASSERT_TRUE(bc.graph() == ref.snapshot_csr())
+          << "batch-staged CSR diverged from the snapshot at batch " << b;
+    }
+    EXPECT_LT(bc.verify_against_recompute(), 1e-7);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Suite, PatchedCsrDifferential,
                          ::testing::ValuesIn(gen::suite_names()),
                          [](const auto& info) { return info.param; });
 

@@ -67,6 +67,7 @@ TEST(DynamicGraph, SnapshotMatchesCsrRoundTrip) {
   const auto dyn = DynamicGraph::from_csr(g0);
   EXPECT_EQ(dyn.num_edges(), g0.num_edges());
   const auto snap = dyn.snapshot_csr();
+  EXPECT_TRUE(snap == g0) << "snapshot is not byte-identical to from_coo";
   ASSERT_EQ(snap.num_vertices(), g0.num_vertices());
   ASSERT_EQ(snap.num_edges(), g0.num_edges());
   for (VertexId v = 0; v < g0.num_vertices(); ++v) {

@@ -1,6 +1,12 @@
-// Graph substrate: COO canonicalization, CSR construction/queries, the
-// incremental builder, BFS, and connected components.
+// Graph substrate: COO canonicalization, CSR construction/queries and
+// in-place edits, the incremental builder, BFS, and connected components.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <set>
+#include <stdexcept>
+#include <utility>
 
 #include "graph/bfs.hpp"
 #include "graph/builder.hpp"
@@ -84,6 +90,97 @@ TEST(CSRGraph, WithAndWithoutEdgeRoundTrip) {
   const auto g4 = CSRGraph::from_coo(coo);
   for (VertexId v = 0; v < 6; ++v) {
     EXPECT_EQ(g4.degree(v), g.degree(v));
+  }
+}
+
+/// The graph from_coo builds for `edges` over n vertices: the layout every
+/// in-place edit must reproduce byte for byte.
+CSRGraph rebuilt(VertexId n, const std::set<std::pair<VertexId, VertexId>>& edges) {
+  COOGraph coo;
+  coo.num_vertices = n;
+  for (const auto& [u, v] : edges) coo.add_edge(u, v);
+  return CSRGraph::from_coo(std::move(coo));
+}
+
+void expect_rows_sorted(const CSRGraph& g) {
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const auto nbrs = g.neighbors(v);
+    EXPECT_EQ(std::adjacent_find(nbrs.begin(), nbrs.end(),
+                                 std::greater_equal<>()),
+              nbrs.end())
+        << "row " << v << " is not strictly increasing";
+    const auto row = static_cast<std::size_t>(g.row_offsets()[v]);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      EXPECT_EQ(g.arc_src()[row + i], v);
+      EXPECT_EQ(g.arc_dst()[row + i], nbrs[i]);
+    }
+  }
+}
+
+TEST(CSRGraph, EditsRejectInvalidWritesAndLeaveTheGraphUnchanged) {
+  const auto original = test::cycle_graph(6);
+  auto g = original;
+  EXPECT_FALSE(g.insert_edge(2, 2));   // self loop
+  EXPECT_FALSE(g.insert_edge(0, 6));   // out of range
+  EXPECT_FALSE(g.insert_edge(-1, 3));  // out of range
+  EXPECT_FALSE(g.insert_edge(0, 1));   // present
+  EXPECT_FALSE(g.insert_edge(1, 0));   // present, reversed
+  EXPECT_FALSE(g.remove_edge(4, 4));   // self loop
+  EXPECT_FALSE(g.remove_edge(6, 0));   // out of range
+  EXPECT_FALSE(g.remove_edge(0, -2));  // out of range
+  EXPECT_FALSE(g.remove_edge(0, 3));   // absent
+  EXPECT_EQ(g, original);
+
+  EXPECT_EQ(original.with_edge(3, 3), original);
+  EXPECT_EQ(original.with_edge(2, 1), original);
+  EXPECT_THROW((void)original.with_edge(0, 6), std::invalid_argument);
+  EXPECT_THROW((void)original.with_edge(-1, 2), std::invalid_argument);
+  EXPECT_EQ(original.without_edge(0, 3), original);
+  EXPECT_EQ(original.without_edge(5, 5), original);
+  EXPECT_EQ(original.without_edge(0, 6), original);
+}
+
+TEST(CSRGraph, EditsMatchFromCooOfTheSameEdgeSet) {
+  // Small and dense, so edits hit empty rows, adjacent rows, and the first
+  // and last slots of a row.
+  const VertexId n = 12;
+  BCDYN_SEEDED_RNG(rng, 4242);
+  std::set<std::pair<VertexId, VertexId>> ref;
+  CSRGraph g = rebuilt(n, ref);
+  for (int op = 0; op < 600; ++op) {
+    const auto u = static_cast<VertexId>(rng.next_below(n));
+    const auto v = static_cast<VertexId>(rng.next_below(n));
+    const std::pair key{std::min(u, v), std::max(u, v)};
+    const CSRGraph before = g;
+    if (rng.next_bool(0.6)) {
+      const bool want = u != v && ref.insert(key).second;
+      ASSERT_EQ(g.insert_edge(u, v), want) << "op " << op;
+      EXPECT_EQ(before.with_edge(u, v), g) << "op " << op;
+    } else {
+      const bool want = ref.erase(key) > 0;
+      ASSERT_EQ(g.remove_edge(u, v), want) << "op " << op;
+      EXPECT_EQ(before.without_edge(u, v), g) << "op " << op;
+    }
+    ASSERT_EQ(g, rebuilt(n, ref)) << "op " << op;
+    expect_rows_sorted(g);
+  }
+  EXPECT_EQ(g.num_edges(), static_cast<EdgeId>(ref.size()));
+}
+
+TEST(CSRGraph, InsertThenRemoveRestoresTheOriginalBytes) {
+  const auto original = test::gnp_graph(40, 0.1, 5);
+  BCDYN_SEEDED_RNG(rng, 99);
+  for (int trial = 0; trial < 50; ++trial) {
+    const auto [u, v] = test::random_absent_edge(original, rng);
+    ASSERT_NE(u, kNoVertex);
+    auto g = original;
+    ASSERT_TRUE(g.insert_edge(u, v));
+    EXPECT_TRUE(g.has_edge(u, v));
+    EXPECT_TRUE(g.has_edge(v, u));
+    EXPECT_EQ(g.num_edges(), original.num_edges() + 1);
+    ASSERT_TRUE(g.remove_edge(v, u));
+    EXPECT_EQ(g, original);
+    EXPECT_EQ(original.with_edge(u, v).without_edge(u, v), original);
   }
 }
 
