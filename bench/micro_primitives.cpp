@@ -107,6 +107,65 @@ void BM_ChargingOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_ChargingOverhead)->Arg(1 << 16);
 
+void BM_EdgeLevelSweep(benchmark::State& state) {
+  // One edge-parallel BFS level over 2^16 arcs grouped by source (8 per
+  // vertex), with 1/16 of the vertices on the level: stepped through
+  // parallel_for (arg 0), guarded so off-level arcs are charged in closed
+  // form (arg 1), and ranged so they are not even classified (arg 2).
+  constexpr std::size_t kDegree = 8;
+  constexpr Dist kLevels = 16;
+  constexpr Dist kDepth = 3;
+  const std::size_t num_arcs = 1 << 16;
+  const std::size_t n = num_arcs / kDegree;
+  util::Rng rng(2);
+  std::vector<Dist> d(n);
+  std::vector<VertexId> src(num_arcs);
+  std::vector<VertexId> dst(num_arcs);
+  std::vector<sim::ItemRange> level_rows;
+  for (std::size_t v = 0; v < n; ++v) {
+    d[v] = static_cast<Dist>(v % kLevels);
+    if (d[v] == kDepth) level_rows.push_back({v * kDegree, (v + 1) * kDegree});
+  }
+  for (std::size_t a = 0; a < num_arcs; ++a) {
+    src[a] = static_cast<VertexId>(a / kDegree);
+    dst[a] = static_cast<VertexId>(rng.next_below(n));
+  }
+  const auto at = [](const std::vector<VertexId>& arr, std::size_t a) {
+    return static_cast<std::size_t>(arr[a]);
+  };
+  const auto mode = state.range(0);
+  for (auto _ : state) {
+    sim::BlockContext ctx(spec(), cost(), 0);
+    const sim::FutileCost exits[] = {ctx.futile_cost(2, {1, 1, 1}),
+                                     ctx.futile_cost(2, {1, 1, 1, 1})};
+    const auto exit = [&](std::size_t a) {
+      if (d[at(src, a)] != kDepth) return 1;
+      return d[at(dst, a)] != kDepth + 1 ? 2 : 0;
+    };
+    const auto body = [&](std::size_t a) {
+      ctx.charge_instr(2);
+      ctx.charge_read(src, a);
+      ctx.charge_read(dst, a);
+      ctx.charge_read(d, at(src, a));
+      if (d[at(src, a)] != kDepth) return;
+      ctx.charge_read(d, at(dst, a));
+      if (d[at(dst, a)] != kDepth + 1) return;
+      ctx.charge_atomic(d, at(dst, a));
+    };
+    if (mode == 0) {
+      ctx.parallel_for(num_arcs, body);
+    } else if (mode == 1) {
+      ctx.parallel_for_guarded(num_arcs, exits, exit, body);
+    } else {
+      ctx.parallel_for_ranged(num_arcs, level_rows, exits, exit, body);
+    }
+    benchmark::DoNotOptimize(ctx.cycles());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(num_arcs));
+}
+BENCHMARK(BM_EdgeLevelSweep)->ArgName("guard")->Arg(0)->Arg(1)->Arg(2);
+
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -85,13 +85,13 @@ class DynamicBc {
     /// kGpuAdaptive only: the parallelism policy's configuration (probe
     /// seed, forced-mode override, exploration rate). Ignored by the
     /// fixed engines.
-    AdaptiveConfig adaptive;
+    AdaptiveConfig adaptive{};
     /// Reaction to injected runtime faults (bc/recovery.hpp): bounded
     /// retries with deterministic modeled backoff, then an optional
     /// static-recompute fallback. Irrelevant unless sim::faults() is
     /// enabled (the CPU engine never faults - it has no simulated
     /// runtime).
-    RecoveryPolicy recovery;
+    RecoveryPolicy recovery{};
   };
 
   /// Copies `g`; the analytic owns that one copy and patches it in place on

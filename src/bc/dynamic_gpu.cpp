@@ -25,6 +25,11 @@ inline void observe_frontier(std::size_t frontier_size) {
   }
 }
 
+/// The vertex arr[i] (an arc endpoint) as an index.
+inline std::size_t endpoint(std::span<const VertexId> arr, std::size_t i) {
+  return static_cast<std::size_t>(arr[i]);
+}
+
 constexpr std::uint8_t kUntouched = 0;
 constexpr std::uint8_t kDown = 1;
 constexpr std::uint8_t kUp = 2;
@@ -129,13 +134,23 @@ void edge_case2(BlockContext& ctx, const CSRGraph& g, VertexId s,
   // Algorithm 4: level-synchronous sigma-hat propagation; every level scans
   // the entire arc list. Note this touches whole BFS levels below u_low
   // (any w one level below a current-depth v), which is exactly the futile
-  // work the paper attributes to the edge-parallel mapping.
+  // work the paper attributes to the edge-parallel mapping. Arcs whose
+  // source is off the level are charged in closed form; no item of either
+  // stage changes d, so the level buckets hold throughout.
+  ws.levels.build(g, d);
+  const sim::FutileCost down_exits[] = {
+      ctx.futile_cost(2, {1, 1, 1}),      // d[v] != depth
+      ctx.futile_cost(2, {1, 1, 1, 1})};  // d[w] != depth + 1
   Dist depth = d[static_cast<std::size_t>(u_low)];
   Dist last_touch_depth = depth;
   bool done = false;
   while (!done) {
     done = true;
-    ctx.parallel_for(num_arcs, [&](std::size_t a) {
+    ctx.parallel_for_ranged(num_arcs, ws.levels.at(depth), down_exits,
+                            [&](std::size_t a) {
+      if (d[endpoint(src, a)] != depth) return 1;
+      return d[endpoint(dst, a)] != depth + 1 ? 2 : 0;
+    }, [&](std::size_t a) {
       ctx.charge_instr(2);
       const auto v = static_cast<std::size_t>(src[a]);
       const auto w = static_cast<std::size_t>(dst[a]);
@@ -166,8 +181,17 @@ void edge_case2(BlockContext& ctx, const CSRGraph& g, VertexId s,
 
   // Algorithm 6 (with the Brandes roles made explicit: arc (c, p) with c at
   // `dep` contributing to its predecessor p at dep-1).
+  const sim::FutileCost up_exits[] = {
+      ctx.futile_cost(2, {1, 1, 1}),         // d[c] != dep
+      ctx.futile_cost(2, {1, 1, 1, 1}),      // d[p] != dep - 1
+      ctx.futile_cost(2, {1, 1, 1, 1, 1})};  // c untouched
   for (Dist dep = last_touch_depth; dep >= 1; --dep) {
-    ctx.parallel_for(num_arcs, [&](std::size_t a) {
+    ctx.parallel_for_ranged(num_arcs, ws.levels.at(dep), up_exits,
+                            [&](std::size_t a) {
+      if (d[endpoint(src, a)] != dep) return 1;
+      if (d[endpoint(dst, a)] != dep - 1) return 2;
+      return ws.t[endpoint(src, a)] == kUntouched ? 3 : 0;
+    }, [&](std::size_t a) {
       ctx.charge_instr(2);
       const auto c = static_cast<std::size_t>(src[a]);
       const auto p = static_cast<std::size_t>(dst[a]);
@@ -577,13 +601,25 @@ void edge_case3(BlockContext& ctx, const CSRGraph& g, VertexId s,
   ws.moved[lo] = 1;
   ws.moved_list.push_back(u_low);
 
+  // Closed-form early-outs of the sweeps below, in their charge order.
+  const sim::FutileCost vertex_exit[] = {ctx.futile_cost(1, {1, 1})};
+  const sim::FutileCost sigma_exit[] = {ctx.futile_cost(2, {1, 1, 1, 1})};
+  const sim::FutileCost pull_exits[] = {
+      ctx.futile_cost(2, {1, 1, 2}),      // w untouched or off the level
+      ctx.futile_cost(2, {1, 1, 2, 1})};  // w not reset
+  auto off_level = [&](std::size_t v, Dist lv) {
+    return ws.t[v] == kUntouched || ws.d_new[v] != lv;
+  };
+
   Dist level = level0;
   Dist max_depth = level0;
   bool progress = true;
   while (progress) {
     progress = false;
     // E1: zero sigma-hat of touched vertices at this level.
-    ctx.parallel_for(n, [&](std::size_t v) {
+    ctx.parallel_for_guarded(n, vertex_exit, [&](std::size_t v) {
+      return off_level(v, level) ? 1 : 0;
+    }, [&](std::size_t v) {
       ctx.charge_instr(1);
       ctx.charge_read(ws.t, v);
       ctx.charge_read(ws.d_new, v);
@@ -592,8 +628,13 @@ void edge_case3(BlockContext& ctx, const CSRGraph& g, VertexId s,
         ws.sigma_hat[v] = 0.0;
       }
     });
-    // E2: accumulate sigma from parents over the whole arc list.
-    ctx.parallel_for(num_arcs, [&](std::size_t a) {
+    // E2: accumulate sigma from parents over the whole arc list. Both
+    // early-outs cost the same: the d_new[x] test is not charged.
+    ctx.parallel_for_guarded(num_arcs, sigma_exit, [&](std::size_t a) {
+      const bool futile = off_level(endpoint(dst, a), level) ||
+                          ws.d_new[endpoint(src, a)] != level - 1;
+      return futile ? 1 : 0;
+    }, [&](std::size_t a) {
       ctx.charge_instr(2);
       const auto x = static_cast<std::size_t>(src[a]);
       const auto w = static_cast<std::size_t>(dst[a]);
@@ -608,7 +649,9 @@ void edge_case3(BlockContext& ctx, const CSRGraph& g, VertexId s,
       ws.sigma_hat[w] += ws.sigma_hat[x];
     });
     // E3a: classify RESET at this level.
-    ctx.parallel_for(n, [&](std::size_t v) {
+    ctx.parallel_for_guarded(n, vertex_exit, [&](std::size_t v) {
+      return off_level(v, level) ? 1 : 0;
+    }, [&](std::size_t v) {
       ctx.charge_instr(1);
       ctx.charge_read(ws.t, v);
       ctx.charge_read(ws.d_new, v);
@@ -625,7 +668,11 @@ void edge_case3(BlockContext& ctx, const CSRGraph& g, VertexId s,
     // endpoints while sibling arcs pull shared far neighbors - the benign
     // same-value races of the repair pre-pass (paper SIII.A generalized);
     // the moved-list append may also reallocate its storage mid-round.
-    ctx.parallel_for(num_arcs, [&](std::size_t a) {
+    ctx.parallel_for_guarded(num_arcs, pull_exits, [&](std::size_t a) {
+      const std::size_t w = endpoint(src, a);
+      if (off_level(w, level)) return 1;
+      return ws.reset[w] == 0 ? 2 : 0;
+    }, [&](std::size_t a) {
       ctx.charge_instr(2);
       const auto w = static_cast<std::size_t>(src[a]);
       const auto x = static_cast<std::size_t>(dst[a]);
@@ -657,7 +704,9 @@ void edge_case3(BlockContext& ctx, const CSRGraph& g, VertexId s,
   }
 
   // CARRY bases for phase-A touched vertices.
-  ctx.parallel_for(n, [&](std::size_t v) {
+  ctx.parallel_for_guarded(n, vertex_exit, [&](std::size_t v) {
+    return ws.t[v] == kDown && ws.reset[v] == 0 ? 0 : 1;
+  }, [&](std::size_t v) {
     ctx.charge_instr(1);
     ctx.charge_read(ws.t, v);
     ctx.charge_read(ws.reset, v);
@@ -669,7 +718,18 @@ void edge_case3(BlockContext& ctx, const CSRGraph& g, VertexId s,
   });
 
   // Pre-pass over arcs: (w moved, x old-parent no longer parent).
-  ctx.parallel_for(num_arcs, [&](std::size_t a) {
+  const sim::FutileCost prepass_exits[] = {
+      ctx.futile_cost(3, {1, 1, 1}),               // w did not move
+      ctx.futile_cost(3, {1, 1, 1, 1, 1}),         // x not an old parent
+      ctx.futile_cost(3, {1, 1, 1, 1, 1, 1, 1})};  // x still a parent
+  ctx.parallel_for_guarded(num_arcs, prepass_exits, [&](std::size_t a) {
+    const std::size_t w = endpoint(src, a);
+    const std::size_t x = endpoint(dst, a);
+    if (ws.moved[w] == 0) return 1;
+    const Dist dw_old = d[w];
+    if (dw_old == kInfDist || d[x] + 1 != dw_old) return 2;
+    return ws.d_new[x] + 1 == ws.d_new[w] ? 3 : 0;
+  }, [&](std::size_t a) {
     ctx.charge_instr(3);
     const auto w = static_cast<std::size_t>(src[a]);
     const auto x = static_cast<std::size_t>(dst[a]);
@@ -707,9 +767,21 @@ void edge_case3(BlockContext& ctx, const CSRGraph& g, VertexId s,
     if (ws.d_new[x] > max_depth) max_depth = ws.d_new[x];
   });
 
-  // Descending dependency repair over the whole arc list per level.
+  // Descending dependency repair over the whole arc list per level. d_new
+  // is final here, so its level buckets bound each level's source arcs.
+  ws.levels.build(g, std::span<const Dist>(ws.d_new).first(n));
+  const sim::FutileCost up_exits[] = {
+      ctx.futile_cost(2, {1, 1, 1}),         // d_new[c] != dep
+      ctx.futile_cost(2, {1, 1, 1, 1}),      // c untouched
+      ctx.futile_cost(2, {1, 1, 1, 1, 1})};  // p not c's new parent
   for (Dist dep = max_depth; dep >= 1; --dep) {
-    ctx.parallel_for(num_arcs, [&](std::size_t a) {
+    ctx.parallel_for_ranged(num_arcs, ws.levels.at(dep), up_exits,
+                            [&](std::size_t a) {
+      const std::size_t c = endpoint(src, a);
+      if (ws.d_new[c] != dep) return 1;
+      if (ws.t[c] == kUntouched) return 2;
+      return ws.d_new[endpoint(dst, a)] + 1 != ws.d_new[c] ? 3 : 0;
+    }, [&](std::size_t a) {
       ctx.charge_instr(2);
       const auto c = static_cast<std::size_t>(src[a]);
       const auto p = static_cast<std::size_t>(dst[a]);
@@ -896,7 +968,7 @@ void gpu_recompute_source(sim::BlockContext& ctx, GpuWorkspace& ws,
     ws.delta_hat[w] = delta[w];  // save old dependencies
   });
   if (mode == Parallelism::kEdge) {
-    static_source_edge(ctx, g, s, d, sigma, delta, {});
+    static_source_edge(ctx, g, s, d, sigma, delta, {}, ws.levels);
   } else {
     static_source_node(ctx, g, s, d, sigma, delta, {}, order, level_offsets);
   }

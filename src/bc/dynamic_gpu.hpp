@@ -29,14 +29,16 @@
 #include "bc/case_classify.hpp"
 #include "bc/dynamic_cpu.hpp"
 #include "bc/static_gpu.hpp"
+#include "bc/static_kernels.hpp"
 #include "gpusim/device.hpp"
 #include "graph/csr_graph.hpp"
 
 namespace bcdyn {
 
 /// Per-block scratch state (the sigma-hat/delta-hat/t arrays of Algorithm 3
-/// plus the queues of Algorithm 5). One instance per thread block, reused
-/// across sources and insertions.
+/// plus the queues of Algorithm 5, and the per-level arc ranges of the
+/// edge-parallel sweeps). One instance per thread block, reused across
+/// sources and insertions.
 struct GpuWorkspace {
   std::vector<std::uint8_t> t;
   std::vector<std::uint8_t> moved;
@@ -50,6 +52,7 @@ struct GpuWorkspace {
   std::vector<VertexId> moved_list;
   std::vector<VertexId> scratch;
   std::vector<std::uint32_t> flags;
+  detail::LevelArcs levels;
 
   void ensure(VertexId n);
 };

@@ -42,7 +42,7 @@ struct PipelineConfig {
   /// chain); 2 = classic double buffering. Values < 1 are treated as 1.
   int depth = 2;
   /// Per-batch engine config, as insert_edge_batch's BatchConfig.
-  BatchConfig batch;
+  BatchConfig batch{};
   /// Model the per-batch D2H score download. On: every batch ships the
   /// n-vertex score vector back (a monitoring deployment reading scores
   /// after every batch). Off: scores stay device-resident and only the

@@ -55,12 +55,12 @@ struct Runtime {
   /// trace::telemetry(): windowed stream-latency aggregation. When turned
   /// on, `telemetry_config` replaces the registry's configuration.
   bool telemetry = false;
-  trace::TelemetryConfig telemetry_config;
+  trace::TelemetryConfig telemetry_config{};
   /// sim::faults(): deterministic fault injection on the simulated runtime
   /// (gpusim/fault_injector.hpp). When turned on, `fault_plan` replaces
   /// the injector's plan. The analytic reacts through Options::recovery.
   bool fault_injection = false;
-  sim::FaultPlan fault_plan;
+  sim::FaultPlan fault_plan{};
 };
 
 /// Everything configurable about a Session, in one aggregate. The analytic
@@ -74,10 +74,10 @@ struct Options {
   ShardPolicy shard_policy = ShardPolicy::kRoundRobin;
   bool track_atomic_conflicts = false;
   double batch_recompute_threshold = 0.25;
-  AdaptiveConfig adaptive;
+  AdaptiveConfig adaptive{};
   /// Reaction to injected faults (retries, modeled backoff, recompute
   /// fallback); only meaningful with runtime.fault_injection on.
-  RecoveryPolicy recovery;
+  RecoveryPolicy recovery{};
 
   /// insert_edge_batches staging depth (1 = synchronous chain; 2 = double
   /// buffering). Forwarded into PipelineConfig.
@@ -85,7 +85,7 @@ struct Options {
   /// Model the per-batch D2H score download in the pipeline.
   bool download_scores = true;
 
-  Runtime runtime;
+  Runtime runtime{};
 
   /// The analytic subset, for constructing the wrapped DynamicBc.
   DynamicBc::Options analytic_options() const;

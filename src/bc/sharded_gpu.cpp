@@ -142,6 +142,7 @@ sim::GroupLaunchResult ShardedGpuBc::compute(const CSRGraph& g,
   }
   std::vector<VertexId> order;
   std::vector<std::size_t> level_offsets;
+  detail::LevelArcs levels;
   const Parallelism mode = mode_;
   const char* name = adaptive_ != nullptr      ? "static_bc.adaptive"
                      : mode == Parallelism::kEdge ? "static_bc.edge"
@@ -155,7 +156,7 @@ sim::GroupLaunchResult ShardedGpuBc::compute(const CSRGraph& g,
         if (m == Parallelism::kEdge) {
           detail::static_source_edge(ctx, g, s, store.dist_row(si),
                                      store.sigma_row(si), store.delta_row(si),
-                                     store.bc());
+                                     store.bc(), levels);
         } else {
           detail::static_source_node(ctx, g, s, store.dist_row(si),
                                      store.sigma_row(si), store.delta_row(si),

@@ -35,6 +35,7 @@ sim::KernelStats StaticGpuBc::compute(const CSRGraph& g, BcStore& store,
       num_blocks, [&, mode, num_blocks](sim::BlockContext& ctx) {
         std::vector<VertexId> order;
         std::vector<std::size_t> level_offsets;
+        detail::LevelArcs levels;
         for (int si = ctx.block_id(); si < k; si += num_blocks) {
           const VertexId s = store.sources()[static_cast<std::size_t>(si)];
           const Parallelism m = plan.mode_or(si, mode);
@@ -42,7 +43,8 @@ sim::KernelStats StaticGpuBc::compute(const CSRGraph& g, BcStore& store,
           if (m == Parallelism::kEdge) {
             detail::static_source_edge(ctx, g, s, store.dist_row(si),
                                        store.sigma_row(si),
-                                       store.delta_row(si), store.bc());
+                                       store.delta_row(si), store.bc(),
+                                       levels);
           } else {
             detail::static_source_node(ctx, g, s, store.dist_row(si),
                                        store.sigma_row(si),

@@ -10,6 +10,11 @@ namespace {
 
 using sim::BlockContext;
 
+/// The vertex arr[i] (an arc endpoint) as an index.
+inline std::size_t endpoint(std::span<const VertexId> arr, std::size_t i) {
+  return static_cast<std::size_t>(arr[i]);
+}
+
 /// Shared init (Algorithm 1 stage 1, parallel over V).
 void init_source(BlockContext& ctx, std::span<Dist> d, std::span<Sigma> sigma,
                  std::span<double> delta, VertexId s) {
@@ -42,23 +47,66 @@ void accumulate_bc(BlockContext& ctx, std::span<const Dist> d,
   });
 }
 
-/// Edge-parallel source iteration: every BFS/dependency level scans the
-/// whole directed-arc list.
 }  // namespace
 
+void LevelArcs::build(const CSRGraph& g, std::span<const Dist> level) {
+  // Counting sort: offsets[L + 1] first counts level L, then the prefix
+  // sum turns offsets[L] into L's start, which serves as its write cursor.
+  offsets.assign(1, 0);
+  for (const Dist lv : level) {
+    if (lv == kInfDist) continue;
+    const auto next = static_cast<std::size_t>(lv) + 1;
+    if (next >= offsets.size()) offsets.resize(next + 1, 0);
+    ++offsets[next];
+  }
+  for (std::size_t l = 1; l < offsets.size(); ++l) {
+    offsets[l] += offsets[l - 1];
+  }
+  rows.resize(offsets.back());
+  const auto row_offsets = g.row_offsets();
+  for (std::size_t v = 0; v < level.size(); ++v) {
+    if (level[v] == kInfDist) continue;
+    rows[offsets[static_cast<std::size_t>(level[v])]++] = {
+        static_cast<std::size_t>(row_offsets[v]),
+        static_cast<std::size_t>(row_offsets[v + 1])};
+  }
+  // Every cursor now sits on the next level's start: shift them back.
+  for (std::size_t l = offsets.size() - 1; l > 0; --l) {
+    offsets[l] = offsets[l - 1];
+  }
+  offsets[0] = 0;
+}
+
+std::span<const sim::ItemRange> LevelArcs::at(Dist level) const {
+  const auto l = static_cast<std::size_t>(level);
+  if (level < 0 || l + 1 >= offsets.size()) return {};
+  return std::span<const sim::ItemRange>(rows).subspan(
+      offsets[l], offsets[l + 1] - offsets[l]);
+}
+
+/// Edge-parallel source iteration: every BFS/dependency level scans the
+/// whole directed-arc list. Arcs off the level are charged in closed form.
 void static_source_edge(sim::BlockContext& ctx, const CSRGraph& g, VertexId s,
                         std::span<Dist> d, std::span<Sigma> sigma,
-                        std::span<double> delta, std::span<double> bc) {
+                        std::span<double> delta, std::span<double> bc,
+                        LevelArcs& levels) {
   init_source(ctx, d, sigma, delta, s);
   const auto src = g.arc_src();
   const auto dst = g.arc_dst();
   const auto num_arcs = static_cast<std::size_t>(g.num_arcs());
+  // Early-outs, in the bodies' charge order: src off the level (both
+  // sweeps), then dst not one level up (dependency sweep).
+  const sim::FutileCost exits[] = {ctx.futile_cost(2, {1, 1, 1}),
+                                   ctx.futile_cost(2, {1, 1, 1, 1})};
 
   Dist depth = 0;
   bool done = false;
   while (!done) {
     done = true;
-    ctx.parallel_for(num_arcs, [&](std::size_t a) {
+    ctx.parallel_for_guarded(num_arcs, std::span(exits).first(1),
+                             [&](std::size_t a) {
+      return d[endpoint(src, a)] != depth ? 1 : 0;
+    }, [&](std::size_t a) {
       ctx.charge_instr(2);
       ctx.charge_read(src, a);
       ctx.charge_read(dst, a);
@@ -88,8 +136,13 @@ void static_source_edge(sim::BlockContext& ctx, const CSRGraph& g, VertexId s,
   }
   const Dist max_depth = depth - 1;
 
+  levels.build(g, d);
   for (Dist dep = max_depth; dep >= 1; --dep) {
-    ctx.parallel_for(num_arcs, [&](std::size_t a) {
+    ctx.parallel_for_ranged(num_arcs, levels.at(dep), exits,
+                            [&](std::size_t a) {
+      if (d[endpoint(src, a)] != dep) return 1;
+      return d[endpoint(dst, a)] != dep - 1 ? 2 : 0;
+    }, [&](std::size_t a) {
       ctx.charge_instr(2);
       ctx.charge_read(src, a);
       ctx.charge_read(dst, a);

@@ -1,6 +1,8 @@
 #include "gpusim/block_context.hpp"
 
+#include <bit>
 #include <limits>
+#include <unordered_map>
 
 namespace bcdyn::sim {
 
@@ -49,7 +51,7 @@ void BlockContext::begin_item(std::size_t item) {
   item_cycles_ = 0.0;
   if (track_conflicts_ &&
       ++items_in_warp_ > static_cast<std::size_t>(spec_->warp_size)) {
-    window_addresses_.clear();
+    window_.clear();
     items_in_warp_ = 1;
   }
   current_item_ = item;
@@ -69,11 +71,27 @@ void BlockContext::close_round(double round_max) {
   ++counters_.rounds;
   round_reads_ = round_writes_ = round_atomics_ = 0;
   if (track_conflicts_) {
-    window_addresses_.clear();
+    window_.clear();
     items_in_warp_ = 0;
   }
   if (shadow_) shadow_->window.clear();  // rounds are the conflict window
   in_item_ = false;
+}
+
+void BlockContext::ConflictWindow::grow() {
+  const std::size_t capacity = std::max<std::size_t>(64, 2 * keys_.size());
+  std::vector<std::uint64_t> live;
+  live.reserve(size_);
+  for (std::size_t slot = 0; slot < keys_.size(); ++slot) {
+    if (epochs_[slot] == epoch_) live.push_back(keys_[slot]);
+  }
+  keys_.assign(capacity, 0);
+  epochs_.assign(capacity, 0);
+  epoch_ = 1;
+  size_ = 0;
+  mask_ = capacity - 1;
+  shift_ = 64 - std::countr_zero(capacity);
+  for (const std::uint64_t key : live) insert(key);
 }
 
 void BlockContext::barrier() {

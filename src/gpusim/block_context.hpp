@@ -21,13 +21,46 @@
 // for structural charges (shared-memory staging, probe sequences) and are
 // invisible to hazard detection. Cost and counter effects are identical
 // between the two - the address only adds bookkeeping.
+//
+// Guarded sweeps. Edge-parallel kernels scan every arc on every level, and
+// almost every item takes an early-out after a fixed prefix of charges.
+// parallel_for_guarded charges such items in closed form instead of
+// stepping them:
+//
+//   const FutileCost exits[] = {ctx.futile_cost(2, {1, 1, 1}),      // exit 1
+//                               ctx.futile_cost(2, {1, 1, 1, 1})};  // exit 2
+//   ctx.parallel_for_guarded(n, exits, [&](std::size_t a) -> int {
+//     if (d[src[a]] != depth) return 1;
+//     if (d[dst[a]] != depth + 1) return 2;
+//     return 0;                          // step fn(a) as usual
+//   }, fn);
+//
+// Contract:
+//   - exits[k-1] describes fn's k-th early-out: its instruction units and
+//     the read charges fn issues before returning, one entry per charge
+//     call in fn's order (so the closed-form cycles add up bit-equal to
+//     stepping). An exit issues no write and no atomic.
+//   - exit(i) returns k >= 1 exactly when fn(i) would take the k-th
+//     early-out, 0 otherwise. It is evaluated at the moment item i would
+//     run, so it sees every earlier item's effects.
+//   - fn is the full body, early-outs included.
+// parallel_for_ranged additionally takes a sorted list of disjoint
+// [begin, end) item ranges; items outside them take exit 1 and are counted
+// per round without being classified. Rounds still close one by one, so
+// counters and modeled cycles are bit-equal to parallel_for(n, fn). Only
+// the hazard shadow needs every address: with it on, both variants step
+// every item through parallel_for.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
-#include <unordered_map>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "gpusim/cost_model.hpp"
 #include "gpusim/device_spec.hpp"
@@ -35,6 +68,19 @@
 #include "gpusim/kernel_stats.hpp"
 
 namespace bcdyn::sim {
+
+/// Closed-form charge of one early-out (see the header comment).
+struct FutileCost {
+  std::uint64_t instrs = 0;
+  std::uint64_t reads = 0;
+  double cycles = 0.0;  // the item's latency chain, for the round max
+};
+
+/// Half-open item range [begin, end) of a ranged sweep.
+struct ItemRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
 
 class BlockContext {
  public:
@@ -74,6 +120,102 @@ class BlockContext {
       // by gpusim tests; not a bug.
       close_round(round_max);
     }
+    barrier();
+  }
+
+  /// Up to this many distinct early-outs per guarded sweep.
+  static constexpr std::size_t kMaxExits = 4;
+
+  /// The closed-form charge of an early-out taken after `instrs`
+  /// instruction units and one charge_read(k) per entry of `reads`.
+  FutileCost futile_cost(std::size_t instrs,
+                         std::initializer_list<std::size_t> reads) const {
+    FutileCost c;
+    c.instrs = instrs;
+    c.cycles += cost_->instr_cycles * static_cast<double>(instrs);
+    for (const std::size_t k : reads) {
+      c.cycles += cost_->global_read_cycles * static_cast<double>(k);
+      c.reads += k;
+    }
+    return c;
+  }
+
+  /// parallel_for(n, fn) that charges items taking an early-out of
+  /// `exits` in closed form instead of stepping them (see header comment).
+  template <typename Exit, typename Fn>
+  void parallel_for_guarded(std::size_t n, std::span<const FutileCost> exits,
+                            Exit&& exit, Fn&& fn) {
+    const ItemRange all{0, n};
+    parallel_for_ranged(n, {&all, 1}, exits, exit, fn);
+  }
+
+  /// parallel_for_guarded where only items inside `ranges` (sorted,
+  /// disjoint, within [0, n)) are classified; all others take exit 1.
+  template <typename Exit, typename Fn>
+  void parallel_for_ranged(std::size_t n, std::span<const ItemRange> ranges,
+                           std::span<const FutileCost> exits, Exit&& exit,
+                           Fn&& fn) {
+    if (shadow_) {
+      parallel_for(n, fn);
+      return;
+    }
+    const auto threads = static_cast<std::size_t>(spec_->threads_per_block);
+    const auto warp = static_cast<std::size_t>(spec_->warp_size);
+    assert(!exits.empty() && exits.size() <= kMaxExits);
+    std::size_t r = 0;  // first range that may still hold items
+    std::size_t begin = 0;
+    do {
+      const std::size_t end = std::min(n, begin + threads);
+      std::uint64_t taken[kMaxExits] = {};
+      double round_max = 0.0;
+      // Warp 0's window is not cleared at round start: as in parallel_for,
+      // atomics charged since the last round close still share it.
+      std::size_t current_warp = 0;
+      std::size_t i = begin;
+      while (i < end) {
+        while (r < ranges.size() && ranges[r].end <= i) ++r;
+        if (r == ranges.size() || ranges[r].begin >= end) {
+          taken[0] += end - i;
+          break;
+        }
+        if (ranges[r].begin > i) {
+          taken[0] += ranges[r].begin - i;
+          i = ranges[r].begin;
+        }
+        for (const std::size_t stop = std::min(ranges[r].end, end); i < stop;
+             ++i) {
+          const int k = exit(i);
+          assert(k >= 0 && static_cast<std::size_t>(k) <= exits.size());
+          if (k > 0) {
+            ++taken[static_cast<std::size_t>(k - 1)];
+            continue;
+          }
+          if (track_conflicts_) {
+            // Exits issue no atomics: they only advance the warp position.
+            const std::size_t lane = i - begin;
+            if (lane / warp != current_warp) {
+              window_.clear();
+              current_warp = lane / warp;
+            }
+            items_in_warp_ = lane % warp;
+          }
+          begin_item(i);
+          fn(i);
+          round_max = std::max(round_max, item_cycles_);
+          ++counters_.items;
+        }
+      }
+      for (std::size_t k = 0; k < exits.size(); ++k) {
+        if (taken[k] == 0) continue;
+        counters_.items += taken[k];
+        counters_.instrs += taken[k] * exits[k].instrs;
+        counters_.global_reads += taken[k] * exits[k].reads;
+        round_reads_ += taken[k] * exits[k].reads;
+        round_max = std::max(round_max, exits[k].cycles);
+      }
+      close_round(round_max);
+      begin = end;
+    } while (begin < n);
     barrier();
   }
 
@@ -182,12 +324,52 @@ class BlockContext {
   void close_round(double round_max);
   void note_atomic_conflict(std::uint64_t address_key) {
     if (!track_conflicts_) return;
-    const auto hits = ++window_addresses_[address_key];
-    if (hits > 1) {
+    if (!window_.insert(address_key)) {
       item_cycles_ += cost_->atomic_conflict_cycles;
       ++counters_.atomic_conflicts;
     }
   }
+
+  /// The set of atomic addresses the current warp has issued: a flat
+  /// open-addressed table whose clear() is O(1) (an epoch bump).
+  class ConflictWindow {
+   public:
+    /// False when `key` is already in the window (a conflict).
+    bool insert(std::uint64_t key) {
+      if (2 * (size_ + 1) > keys_.size()) grow();
+      for (std::size_t slot = home(key);; slot = (slot + 1) & mask_) {
+        if (epochs_[slot] != epoch_) {
+          epochs_[slot] = epoch_;
+          keys_[slot] = key;
+          ++size_;
+          return true;
+        }
+        if (keys_[slot] == key) return false;
+      }
+    }
+    void clear() {
+      if (size_ == 0) return;
+      size_ = 0;
+      if (++epoch_ == 0) {  // wrapped: no stale slot may match epoch 1
+        std::fill(epochs_.begin(), epochs_.end(), 0u);
+        epoch_ = 1;
+      }
+    }
+
+   private:
+    std::size_t home(std::uint64_t key) const {
+      return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >>
+                                      shift_) & mask_;
+    }
+    void grow();
+
+    std::vector<std::uint64_t> keys_;
+    std::vector<std::uint32_t> epochs_;
+    std::uint32_t epoch_ = 1;
+    std::size_t size_ = 0;
+    std::size_t mask_ = 0;
+    int shift_ = 64;
+  };
   // Shadow-pass helpers; only called when shadow_ is non-null.
   void note_untracked(std::size_t k);
   void track(HazardAccess kind, std::uint64_t address, std::size_t stride,
@@ -204,7 +386,7 @@ class BlockContext {
   std::size_t round_writes_ = 0;
   std::size_t round_atomics_ = 0;
   std::size_t items_in_warp_ = 0;
-  std::unordered_map<std::uint64_t, std::uint32_t> window_addresses_;
+  ConflictWindow window_;
   std::uint64_t current_item_ = 0;
   bool in_item_ = false;
   std::unique_ptr<Shadow> shadow_;

@@ -11,14 +11,19 @@
 //   ctest -LE fuzz             # everything else
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <tuple>
+#include <type_traits>
 
 #include "bc/batch_update.hpp"
 #include "bc/brandes.hpp"
 #include "bc/dynamic_bc.hpp"
 #include "bc/dynamic_cpu.hpp"
 #include "bc/dynamic_gpu.hpp"
+#include "bc/static_gpu.hpp"
 #include "gpusim/fault_injector.hpp"
 #include "gen/suite.hpp"
 #include "graph/dynamic_graph.hpp"
@@ -377,6 +382,196 @@ TEST_P(PatchedCsrDifferential, BatchStagingAdmitsLikeDynamicGraph) {
 INSTANTIATE_TEST_SUITE_P(Suite, PatchedCsrDifferential,
                          ::testing::ValuesIn(gen::suite_names()),
                          [](const auto& info) { return info.param; });
+
+// --- fast-path mode -------------------------------------------------------
+// Edge-parallel sweeps charge their early-out items in closed form instead
+// of stepping them (sim::BlockContext::parallel_for_guarded/_ranged); only
+// the hazard shadow forces full stepping, because it needs every address.
+// The same seeded stream - a static compute(), single-edge inserts hitting
+// case 2 and case 3, adjacent and far removals, and two batches (one
+// incremental, one through the recompute fallback) - runs once with the
+// shadow off (fast path) and once with it on (full stepping), with
+// atomic-conflict tracking off and on. Every launch's counters and modeled
+// cycles, and every score, must be bit-identical between the two.
+
+/// What one run of the stream produced: each launch's stats (and, for the
+/// batches, each job's counters), the final store, and how often each
+/// update case occurred.
+struct StreamRun {
+  explicit StreamRun(BcStore initial) : store(std::move(initial)) {}
+
+  std::vector<sim::KernelStats> stats;
+  std::vector<sim::BlockCounters> jobs;
+  BcStore store;
+  int inserts_case2 = 0;
+  int inserts_case3 = 0;
+  int removals_adjacent = 0;
+  int removals_far = 0;
+};
+
+StreamRun run_edge_stream(const CSRGraph& g0, const std::string& gen_name,
+                          bool conflicts) {
+  const ApproxConfig cfg{.num_sources = kNumSources, .seed = 31};
+  const auto spec = sim::DeviceSpec::tesla_c2075();
+  StreamRun run(BcStore(g0.num_vertices(), cfg));
+  CSRGraph g = g0;
+
+  StaticGpuBc stat(spec, Parallelism::kEdge, {}, 0, conflicts);
+  run.stats.push_back(stat.compute(g, run.store));
+
+  DynamicGpuBc engine(spec, Parallelism::kEdge, {}, 0, conflicts);
+  auto tally = [&](const GpuUpdateResult& r, bool insert) {
+    run.stats.push_back(r.stats);
+    for (const auto& o : r.outcomes) {
+      if (o.update_case == UpdateCase::kAdjacent) {
+        ++(insert ? run.inserts_case2 : run.removals_adjacent);
+      } else if (o.update_case == UpdateCase::kFar) {
+        ++(insert ? run.inserts_case3 : run.removals_far);
+      }
+    }
+  };
+
+  BCDYN_SEEDED_RNG(rng, 982 + std::hash<std::string>{}(gen_name) % 1000);
+  for (int step = 0; step < 8; ++step) {
+    const auto [u, v] = test::random_absent_edge(g, rng);
+    if (u == kNoVertex) break;
+    g = g.with_edge(u, v);
+    tally(engine.insert_edge_update(g, run.store, u, v), /*insert=*/true);
+  }
+  // Removals: random edges (mostly adjacent-level ones whose lower end
+  // keeps another parent), then an edge at a source, whose other end loses
+  // its only parent - a far removal for that source.
+  for (int step = 0; step < 6; ++step) {
+    const auto a = static_cast<std::size_t>(
+        rng.next_below(static_cast<std::uint64_t>(g.num_arcs())));
+    const VertexId u = g.arc_src()[a];
+    const VertexId v = g.arc_dst()[a];
+    g = g.without_edge(u, v);
+    tally(engine.remove_edge_update(g, run.store, u, v), /*insert=*/false);
+  }
+  const VertexId s = run.store.sources().front();
+  if (g.degree(s) > 0) {
+    const VertexId x = g.neighbors(s).front();
+    g = g.without_edge(s, x);
+    tally(engine.remove_edge_update(g, run.store, s, x), /*insert=*/false);
+  }
+
+  for (const double threshold : {0.25, 0.02}) {
+    std::vector<std::pair<VertexId, VertexId>> edges;
+    CSRGraph staged = g;
+    for (int e = 0; e < 4; ++e) {
+      const auto edge = test::random_absent_edge(staged, rng);
+      if (edge.first == kNoVertex) break;
+      staged = staged.with_edge(edge.first, edge.second);
+      edges.push_back(edge);
+    }
+    const auto snapshots = build_batch_snapshots(g, edges);
+    const GpuBatchResult r =
+        engine.insert_edge_batch(snapshots, run.store, BatchConfig{threshold});
+    run.stats.push_back(r.stats);
+    run.jobs.insert(run.jobs.end(), r.job_stats.begin(), r.job_stats.end());
+    g = staged;
+  }
+  return run;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_counters_identical(const sim::BlockCounters& fast,
+                               const sim::BlockCounters& full,
+                               const std::string& what) {
+  EXPECT_EQ(fast.rounds, full.rounds) << what;
+  EXPECT_EQ(fast.items, full.items) << what;
+  EXPECT_EQ(fast.instrs, full.instrs) << what;
+  EXPECT_EQ(fast.global_reads, full.global_reads) << what;
+  EXPECT_EQ(fast.global_writes, full.global_writes) << what;
+  EXPECT_EQ(fast.atomics, full.atomics) << what;
+  EXPECT_EQ(fast.atomic_conflicts, full.atomic_conflicts) << what;
+  EXPECT_EQ(fast.barriers, full.barriers) << what;
+  EXPECT_EQ(bits(fast.cycles), bits(full.cycles))
+      << what << " cycles " << fast.cycles << " vs " << full.cycles;
+}
+
+template <typename T>
+void expect_row_identical(std::span<const T> fast, std::span<const T> full,
+                          const std::string& what) {
+  ASSERT_EQ(fast.size(), full.size()) << what;
+  for (std::size_t v = 0; v < fast.size(); ++v) {
+    if constexpr (std::is_same_v<T, double>) {
+      ASSERT_EQ(bits(fast[v]), bits(full[v])) << what << " v=" << v;
+    } else {
+      ASSERT_EQ(fast[v], full[v]) << what << " v=" << v;
+    }
+  }
+}
+
+class FastPathDifferential
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>> {};
+
+TEST_P(FastPathDifferential, ClosedFormChargesMatchFullSteppingBitForBit) {
+  const auto& [gen_name, conflicts] = GetParam();
+  const CSRGraph g = gen::build_suite_graph(gen_name, kScale, 977).graph;
+
+  const StreamRun fast = run_edge_stream(g, gen_name, conflicts);
+  const StreamRun full = [&] {
+    const test::HazardScope hazard_scope;
+    StreamRun run = run_edge_stream(g, gen_name, conflicts);
+    EXPECT_GT(sim::hazards().tracked_accesses(), 0u)
+        << "the shadow saw no access - the reference did not step";
+    return run;
+  }();
+
+  // The stream must exercise what it claims to.
+  EXPECT_GT(fast.inserts_case2, 0);
+  EXPECT_GT(fast.inserts_case3, 0);
+  EXPECT_GT(fast.removals_adjacent, 0);
+  EXPECT_GT(fast.removals_far, 0);
+
+  ASSERT_EQ(fast.stats.size(), full.stats.size());
+  std::uint64_t conflicts_seen = 0;
+  for (std::size_t i = 0; i < fast.stats.size(); ++i) {
+    const auto& a = fast.stats[i];
+    const auto& b = full.stats[i];
+    const std::string what = "launch " + std::to_string(i);
+    expect_counters_identical(a.total, b.total, what);
+    EXPECT_EQ(bits(a.max_block_cycles), bits(b.max_block_cycles)) << what;
+    EXPECT_EQ(bits(a.makespan_cycles), bits(b.makespan_cycles)) << what;
+    EXPECT_EQ(bits(a.seconds), bits(b.seconds)) << what;
+    EXPECT_EQ(a.num_blocks, b.num_blocks) << what;
+    EXPECT_EQ(a.launches, b.launches) << what;
+    conflicts_seen += a.total.atomic_conflicts;
+  }
+  ASSERT_EQ(fast.jobs.size(), full.jobs.size());
+  for (std::size_t j = 0; j < fast.jobs.size(); ++j) {
+    expect_counters_identical(fast.jobs[j], full.jobs[j],
+                              "batch job " + std::to_string(j));
+  }
+  if (conflicts) {
+    EXPECT_GT(conflicts_seen, 0u) << "conflict windows never hit";
+  } else {
+    EXPECT_EQ(conflicts_seen, 0u);
+  }
+
+  for (int si = 0; si < fast.store.num_sources(); ++si) {
+    const std::string row = " row si=" + std::to_string(si);
+    expect_row_identical(fast.store.dist_row(si), full.store.dist_row(si),
+                         "dist" + row);
+    expect_row_identical(fast.store.sigma_row(si), full.store.sigma_row(si),
+                         "sigma" + row);
+    expect_row_identical(fast.store.delta_row(si), full.store.delta_row(si),
+                         "delta" + row);
+  }
+  expect_row_identical<double>(fast.store.bc(), full.store.bc(), "bc");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Suite, FastPathDifferential,
+    ::testing::Combine(::testing::ValuesIn(gen::suite_names()),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::get<0>(info.param) +
+             (std::get<1>(info.param) ? "_conflicts" : "_plain");
+    });
 
 }  // namespace
 }  // namespace bcdyn

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <optional>
+#include <vector>
 
 #include "gpusim/block_context.hpp"
 #include "gpusim/cost_model.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/device_spec.hpp"
+#include "test_helpers.hpp"
 
 namespace bcdyn::sim {
 namespace {
@@ -107,6 +111,203 @@ TEST(BlockContext, ThroughputTermChargesAggregateRoundTraffic) {
   ctx.parallel_for(4, [&](std::size_t) { ctx.charge_read(10); });
   // 40 reads in one round at 0.5 cycles each.
   EXPECT_DOUBLE_EQ(ctx.cycles(), 20.0);
+}
+
+// --- guarded sweeps --------------------------------------------------------
+// parallel_for_guarded/_ranged charge early-out items in closed form; every
+// counter and the modeled cycles must stay bit-equal to stepping the same
+// body through parallel_for.
+
+/// A synthetic sweep whose item i takes early-out cat[i] (0: runs to the
+/// end). Stepped items relabel a later item, so an item must be classified
+/// at the moment it would run.
+struct SyntheticSweep {
+  std::vector<int> cat;
+  std::vector<double> out = std::vector<double>(cat.size(), 0.0);
+  std::size_t classified = 0;
+
+  void body(BlockContext& ctx, std::size_t i) {
+    ctx.charge_instr(3);
+    ctx.charge_read(1);
+    if (cat[i] == 1) return;
+    ctx.charge_read(2);
+    if (cat[i] == 2) return;
+    ctx.charge_read(1);
+    ctx.charge_read(1);
+    if (cat[i] == 3) return;
+    ctx.charge_read(3);
+    if (cat[i] == 4) return;
+    ctx.charge_write(1);
+    ctx.charge_atomic(i / 3 % 4);  // shared keys: conflicts within a warp
+    out[i] += 1.0;
+    const std::size_t j = (i * 7 + 3) % cat.size();
+    if (j > i && cat[j] != 1) cat[j] = cat[j] == 0 ? 3 : 0;
+  }
+  int exit(std::size_t i) {
+    ++classified;
+    return cat[i];
+  }
+};
+
+CostModel fractional_costs() {
+  CostModel cm;  // non-integral, so the summation order shows in the bits
+  cm.instr_cycles = 0.7;
+  cm.global_read_cycles = 1.3;
+  cm.round_issue_cycles = 2.9;
+  return cm;
+}
+
+DeviceSpec warp_spec() {
+  DeviceSpec s = tiny_spec(1, 8);
+  s.warp_size = 4;  // two warps per round
+  return s;
+}
+
+std::vector<int> mixed_categories(std::size_t n) {
+  std::vector<int> cat(n);
+  for (std::size_t i = 0; i < n; ++i) cat[i] = static_cast<int>((i * 5 + i / 7) % 5);
+  return cat;
+}
+
+void expect_same_counters(const BlockCounters& a, const BlockCounters& b) {
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.items, b.items);
+  EXPECT_EQ(a.instrs, b.instrs);
+  EXPECT_EQ(a.global_reads, b.global_reads);
+  EXPECT_EQ(a.global_writes, b.global_writes);
+  EXPECT_EQ(a.atomics, b.atomics);
+  EXPECT_EQ(a.atomic_conflicts, b.atomic_conflicts);
+  EXPECT_EQ(a.barriers, b.barriers);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.cycles),
+            std::bit_cast<std::uint64_t>(b.cycles))
+      << a.cycles << " vs " << b.cycles;
+}
+
+/// Runs `cat` through parallel_for and through the guarded variant (ranged
+/// when `ranges` is set), optionally after one sequential atomic on
+/// `pre_key`; expects identical counters and state. Returns the guarded
+/// sweep for further checks.
+SyntheticSweep expect_guarded_matches_plain(
+    const std::vector<int>& cat,
+    const std::optional<std::vector<ItemRange>>& ranges = std::nullopt,
+    bool conflicts = false, std::optional<std::uint64_t> pre_key = {}) {
+  const CostModel cm = fractional_costs();
+  const DeviceSpec spec = warp_spec();
+  BlockContext plain(spec, cm, 0, conflicts);
+  BlockContext guarded(spec, cm, 0, conflicts);
+  if (pre_key) {
+    plain.charge_atomic(*pre_key);
+    guarded.charge_atomic(*pre_key);
+  }
+  SyntheticSweep a{cat};
+  SyntheticSweep b{cat};
+  plain.parallel_for(cat.size(), [&](std::size_t i) { a.body(plain, i); });
+
+  const FutileCost exits[] = {
+      guarded.futile_cost(3, {1}), guarded.futile_cost(3, {1, 2}),
+      guarded.futile_cost(3, {1, 2, 1, 1}),
+      guarded.futile_cost(3, {1, 2, 1, 1, 3})};
+  auto exit = [&](std::size_t i) { return b.exit(i); };
+  auto fn = [&](std::size_t i) { b.body(guarded, i); };
+  if (ranges) {
+    guarded.parallel_for_ranged(cat.size(), *ranges, exits, exit, fn);
+  } else {
+    guarded.parallel_for_guarded(cat.size(), exits, exit, fn);
+  }
+  expect_same_counters(guarded.counters(), plain.counters());
+  EXPECT_EQ(b.cat, a.cat);
+  EXPECT_EQ(b.out, a.out);
+  return b;
+}
+
+TEST(GuardedSweep, EmptyLaunchIsTheEmptyRound) {
+  const auto b = expect_guarded_matches_plain({});
+  EXPECT_EQ(b.classified, 0u);
+  expect_guarded_matches_plain({}, std::vector<ItemRange>{});
+}
+
+TEST(GuardedSweep, PartialAndWholeRoundsMatchStepping) {
+  expect_guarded_matches_plain(mixed_categories(5));   // n < T
+  expect_guarded_matches_plain(mixed_categories(24));  // n = 3T
+  expect_guarded_matches_plain(mixed_categories(29));  // ragged tail
+}
+
+TEST(GuardedSweep, EveryExitIndexIsTakenAndCharged) {
+  const auto b = expect_guarded_matches_plain(mixed_categories(40));
+  for (int k = 0; k <= 4; ++k) {
+    EXPECT_NE(std::count(b.cat.begin(), b.cat.end(), k), 0) << "exit " << k;
+  }
+  EXPECT_EQ(b.classified, 40u);
+}
+
+TEST(GuardedSweep, RoundsOfOnlyExitsCloseInClosedForm) {
+  std::vector<int> cat = mixed_categories(29);
+  for (std::size_t i = 0; i < 16; ++i) cat[i] = 1 + static_cast<int>(i % 4);
+  expect_guarded_matches_plain(cat);
+  expect_guarded_matches_plain(std::vector<int>(24, 2));  // nothing steps
+}
+
+TEST(GuardedSweep, RangesStraddleRoundsAndSkipOutsideItems) {
+  // T = 8: [5, 13) and [20, 27) cross round boundaries; the empty ranges
+  // sit on, between and before them.
+  const std::vector<ItemRange> ranges = {{0, 0},   {3, 3},   {5, 13},
+                                         {13, 13}, {16, 16}, {20, 27}};
+  std::vector<int> cat = mixed_categories(29);
+  std::size_t inside = 0;
+  for (std::size_t i = 0; i < cat.size(); ++i) {
+    const bool in = std::any_of(ranges.begin(), ranges.end(), [&](auto r) {
+      return r.begin <= i && i < r.end;
+    });
+    if (in) {
+      ++inside;
+    } else {
+      cat[i] = 1;  // the contract: items outside the ranges take exit 1
+    }
+  }
+  const auto b = expect_guarded_matches_plain(cat, ranges);
+  EXPECT_EQ(b.classified, inside);
+  EXPECT_EQ(expect_guarded_matches_plain(std::vector<int>(20, 1),
+                                         std::vector<ItemRange>{})
+                .classified,
+            0u);
+}
+
+TEST(GuardedSweep, ConflictWindowsFollowWarpsAcrossExits) {
+  // Conflicts are counted within a warp (4 items) only; exits in between
+  // stepped items advance the warp position without issuing atomics.
+  expect_guarded_matches_plain(mixed_categories(40), std::nullopt, true);
+  std::vector<int> sparse(32, 1);
+  for (std::size_t i : {0, 2, 3, 5, 6, 8, 11, 12, 13, 17, 22, 23, 30}) {
+    sparse[i] = 0;
+  }
+  expect_guarded_matches_plain(sparse, std::nullopt, true);
+  // The first warp's window is open at the sweep's start: an atomic issued
+  // outside any item still conflicts with warp 0 of the first round.
+  expect_guarded_matches_plain(sparse, std::nullopt, true, 0);
+  std::vector<int> ranged = sparse;
+  for (std::size_t i = 0; i < ranged.size(); ++i) {
+    if (i < 2 || i >= 14) ranged[i] = 1;
+  }
+  expect_guarded_matches_plain(ranged, std::vector<ItemRange>{{2, 14}}, true,
+                               0);
+}
+
+TEST(GuardedSweep, HazardShadowStepsEveryItem) {
+  const test::HazardScope hazard_scope;
+  const auto b = expect_guarded_matches_plain(mixed_categories(29));
+  EXPECT_EQ(b.classified, 0u);  // plain stepping: no classification
+}
+
+TEST(ConflictWindow, GrowsPastItsInitialCapacity) {
+  // One warp-sized round whose single item issues 500 atomics on 250 keys:
+  // the flat window must rehash without losing an address.
+  CostModel cm;
+  const auto spec = tiny_spec(1, 1);
+  BlockContext ctx(spec, cm, 0, /*track_atomic_conflicts=*/true);
+  ctx.parallel_for(1, [&](std::size_t) {
+    for (std::uint64_t k = 0; k < 500; ++k) ctx.charge_atomic(k % 250);
+  });
+  EXPECT_EQ(ctx.counters().atomic_conflicts, 250u);
 }
 
 TEST(ScheduleMakespan, PerfectDivisionIsFlat) {
