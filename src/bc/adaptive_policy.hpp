@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "bc/bc_store.hpp"
-#include "bc/static_gpu.hpp"
+#include "bc/gpu_engine.hpp"
 #include "gpusim/cost_model.hpp"
 #include "gpusim/device_spec.hpp"
 #include "graph/csr_graph.hpp"

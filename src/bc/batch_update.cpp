@@ -1,14 +1,11 @@
 #include "bc/batch_update.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
-#include "bc/adaptive_policy.hpp"
 #include "bc/brandes.hpp"
 #include "bc/dynamic_bc.hpp"
 #include "bc/dynamic_cpu_parallel.hpp"
-#include "bc/dynamic_gpu.hpp"
 #include "gpusim/cost_model.hpp"
 #include "trace/telemetry.hpp"
 #include "trace/trace.hpp"
@@ -171,92 +168,6 @@ std::vector<SourceBatchOutcome> DynamicCpuParallelEngine::insert_edge_batch(
   return outcomes;
 }
 
-GpuBatchResult DynamicGpuBc::insert_edge_batch(const BatchSnapshots& batch,
-                                               BcStore& store,
-                                               const BatchConfig& config) {
-  const int k = store.num_sources();
-  GpuBatchResult result;
-  result.outcomes.resize(static_cast<std::size_t>(k));
-  if (batch.empty() || k == 0) return result;
-  const CSRGraph& final_g = batch.final_graph();
-  const VertexId n = final_g.num_vertices();
-  for (auto& ws : workspaces_) ws.ensure(n);
-
-  // Queue order: provisional batch weight per source, heaviest first (the
-  // host-side sort a driver performs before enqueueing jobs; it changes
-  // only the schedule, never the per-source results). The policy decides
-  // per-job modes but never the queue order: job order is the order BC
-  // deltas fold in, so reordering would perturb the float sums the forced
-  // modes must reproduce bit-identically - and the classification-based
-  // weight schedules at least as well as the cycle estimate.
-  LaunchPlan plan;
-  std::vector<double> cycles;
-  if (policy_ != nullptr) {
-    plan = policy_->plan_batch(final_g, store, batch);
-    cycles.assign(static_cast<std::size_t>(k), 0.0);
-  }
-  auto& order = result.job_sources;
-  order.resize(static_cast<std::size_t>(k));
-  std::iota(order.begin(), order.end(), 0);
-  std::vector<std::int64_t> weight(static_cast<std::size_t>(k), 0);
-  for (int si = 0; si < k; ++si) {
-    weight[static_cast<std::size_t>(si)] =
-        detail::batch_job_weight(store.dist_row(si), batch);
-  }
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return weight[static_cast<std::size_t>(a)] >
-           weight[static_cast<std::size_t>(b)];
-  });
-
-  const Parallelism mode = mode_;
-  auto& workspaces = workspaces_;
-  auto& outcomes = result.outcomes;
-  const char* name = policy_ != nullptr        ? "batch.adaptive"
-                     : mode == Parallelism::kEdge ? "batch.edge"
-                                                  : "batch.node";
-  result.stats = device_.launch_queue(
-      k,
-      [&, mode](sim::BlockContext& ctx, int job) {
-        const int si = order[static_cast<std::size_t>(job)];
-        GpuWorkspace& ws =
-            workspaces[static_cast<std::size_t>(ctx.block_id())];
-        const VertexId s = store.sources()[static_cast<std::size_t>(si)];
-        const Parallelism m = plan.mode_or(si, mode);
-        auto d = store.dist_row(si);
-        auto sigma = store.sigma_row(si);
-        auto delta = store.delta_row(si);
-        std::vector<VertexId> bfs_order;
-        std::vector<std::size_t> level_offsets;
-        const double c0 = ctx.cycles();
-        outcomes[static_cast<std::size_t>(si)] = detail::run_source_batch(
-            batch.edges.size(), n, config,
-            [&](std::size_t i) {
-              const auto [u, v] = batch.edges[i];
-              return detail::gpu_insert_source_update(
-                  ctx, ws, m, batch.graphs[i], s, d, sigma, delta,
-                  store.bc(), u, v);
-            },
-            [&] {
-              detail::gpu_recompute_source(ctx, ws, m, final_g, s, d,
-                                           sigma, delta, store.bc(),
-                                           bfs_order, level_offsets);
-            });
-        if (!cycles.empty()) {
-          cycles[static_cast<std::size_t>(si)] = ctx.cycles() - c0;
-        }
-      },
-      &result.job_stats, name);
-  if (policy_ != nullptr) {
-    std::vector<VertexId> touched(static_cast<std::size_t>(k), 0);
-    for (int si = 0; si < k; ++si) {
-      touched[static_cast<std::size_t>(si)] =
-          outcomes[static_cast<std::size_t>(si)].touched_total;
-    }
-    policy_->apply_feedback(plan, cycles, touched);
-  }
-  return result;
-}
-
 BatchSnapshots DynamicBc::stage_batch(
     std::span<const std::pair<VertexId, VertexId>> edges,
     UpdateOutcome& outcome) {
@@ -297,17 +208,10 @@ void DynamicBc::run_batch_kernels(const BatchSnapshots& batch,
     run_recovered(
         "bc.batch",
         [&] {
-          if (sharded_) {
-            const ShardedBatchResult sharded_result =
-                sharded_->insert_edge_batch(batch, store_, config);
-            fold(sharded_result.outcomes);
-            outcome.modeled_seconds = sharded_result.launch.group.seconds;
-          } else {
-            const GpuBatchResult gpu_result =
-                gpu_engine_->insert_edge_batch(batch, store_, config);
-            fold(gpu_result.outcomes);
-            outcome.modeled_seconds = gpu_result.stats.seconds;
-          }
+          std::vector<SourceBatchOutcome> outcomes;
+          outcome.modeled_seconds =
+              gpu_->insert_batch(batch, store_, config, outcomes).stats.seconds;
+          fold(outcomes);
         },
         outcome);
   }

@@ -14,7 +14,7 @@ namespace bcdyn {
 namespace {
 
 /// Folds per-source outcomes into the update-level aggregate (case counts
-/// and the touched max). Shared by every engine branch.
+/// and the touched max). Shared by the CPU and GPU paths.
 void fold_outcomes(std::span<const SourceUpdateOutcome> outcomes,
                    UpdateOutcome& out) {
   for (const auto& o : outcomes) {
@@ -83,27 +83,14 @@ DynamicBc::DynamicBc(const CSRGraph& g, const Options& options)
       const Parallelism mode = options_.engine == EngineKind::kGpuEdge
                                    ? Parallelism::kEdge
                                    : Parallelism::kNode;
-      if (options_.num_devices > 1) {
-        sharded_ = std::make_unique<ShardedGpuBc>(
-            options_.num_devices, options_.device_spec, mode, cost_model_,
-            options_.track_atomic_conflicts, options_.shard_policy);
-      } else {
-        gpu_engine_ = std::make_unique<DynamicGpuBc>(
-            options_.device_spec, mode, cost_model_, /*host_workers=*/0,
-            options_.track_atomic_conflicts);
-        gpu_static_ = std::make_unique<StaticGpuBc>(
-            options_.device_spec, mode, cost_model_, /*host_workers=*/0,
-            options_.track_atomic_conflicts);
-      }
+      gpu_ = std::make_unique<GpuEngine>(
+          GpuEngine::schedule_for(options_.num_devices), options_.num_devices,
+          options_.device_spec, mode, cost_model_,
+          options_.track_atomic_conflicts, options_.shard_policy);
       if (options_.engine == EngineKind::kGpuAdaptive) {
         policy_ = std::make_unique<ParallelismPolicy>(
             options_.adaptive, options_.device_spec, cost_model_);
-        if (sharded_) {
-          sharded_->set_policy(policy_.get());
-        } else {
-          gpu_engine_->set_policy(policy_.get());
-          gpu_static_->set_policy(policy_.get());
-        }
+        gpu_->set_policy(policy_.get());
       }
       break;
     }
@@ -111,7 +98,7 @@ DynamicBc::DynamicBc(const CSRGraph& g, const Options& options)
 }
 
 int DynamicBc::num_devices() const {
-  return sharded_ ? sharded_->num_devices() : 1;
+  return engine() == EngineKind::kCpu ? 1 : gpu_->num_devices();
 }
 
 void DynamicBc::record_telemetry(trace::UpdateKind kind,
@@ -156,26 +143,9 @@ double DynamicBc::recompute() {
   double modeled = 0.0;
   detail::retry_faults(
       "bc.recompute", options_.recovery, num_devices(),
-      [&] {
-        if (sharded_) {
-          modeled = sharded_->compute(csr_, store_).group.seconds;
-        } else {
-          modeled = gpu_static_->compute(csr_, store_).seconds;
-        }
-      },
-      [&](double cycles) { charge_backoff(cycles); });
+      [&] { modeled = gpu_->compute(csr_, store_).stats.seconds; },
+      [&](double cycles) { gpu_->charge_fault_backoff(cycles); });
   return modeled;
-}
-
-void DynamicBc::charge_backoff(double cycles) {
-  if (sharded_) {
-    for (int d = 0; d < sharded_->num_devices(); ++d) {
-      sharded_->group().device(d).charge_fault_backoff(cycles);
-    }
-    return;
-  }
-  if (gpu_engine_) gpu_engine_->device().charge_fault_backoff(cycles);
-  if (gpu_static_) gpu_static_->device().charge_fault_backoff(cycles);
 }
 
 void DynamicBc::run_recovered(const char* what,
@@ -183,7 +153,9 @@ void DynamicBc::run_recovered(const char* what,
                               UpdateOutcome& outcome) {
   try {
     detail::retry_faults(what, options_.recovery, num_devices(), engine_pass,
-                         [&](double cycles) { charge_backoff(cycles); });
+                         [&](double cycles) {
+                           gpu_->charge_fault_backoff(cycles);
+                         });
   } catch (const sim::FaultError& error) {
     if (!options_.recovery.fallback_recompute) throw;
     detail::note_fault(what, error, "fallback_recompute", num_devices());
@@ -266,17 +238,10 @@ UpdateOutcome DynamicBc::run_update(VertexId u, VertexId v) {
         sim::cpu_seconds(cost_model_, ops.instrs, ops.reads, ops.writes);
   } else {
     run_recovered("bc.insert", [&] {
-      if (sharded_) {
-        const ShardedUpdateResult r =
-            sharded_->insert_edge_update(csr_, store_, u, v);
-        fold_outcomes(r.outcomes, outcome);
-        outcome.modeled_seconds = r.launch.group.seconds;
-      } else {
-        const GpuUpdateResult r =
-            gpu_engine_->insert_edge_update(csr_, store_, u, v);
-        fold_outcomes(r.outcomes, outcome);
-        outcome.modeled_seconds = r.stats.seconds;
-      }
+      std::vector<SourceUpdateOutcome> outcomes;
+      outcome.modeled_seconds =
+          gpu_->insert_edge(csr_, store_, u, v, outcomes).stats.seconds;
+      fold_outcomes(outcomes, outcome);
     }, outcome);
   }
   outcome.update_wall_seconds = clock.elapsed_s();
@@ -317,17 +282,10 @@ UpdateOutcome DynamicBc::remove_edge(VertexId u, VertexId v) {
         sim::cpu_seconds(cost_model_, ops.instrs, ops.reads, ops.writes);
   } else {
     run_recovered("bc.remove", [&] {
-      if (sharded_) {
-        const ShardedUpdateResult r =
-            sharded_->remove_edge_update(csr_, store_, u, v);
-        fold_outcomes(r.outcomes, outcome);
-        outcome.modeled_seconds = r.launch.group.seconds;
-      } else {
-        const GpuUpdateResult r =
-            gpu_engine_->remove_edge_update(csr_, store_, u, v);
-        fold_outcomes(r.outcomes, outcome);
-        outcome.modeled_seconds = r.stats.seconds;
-      }
+      std::vector<SourceUpdateOutcome> outcomes;
+      outcome.modeled_seconds =
+          gpu_->remove_edge(csr_, store_, u, v, outcomes).stats.seconds;
+      fold_outcomes(outcomes, outcome);
     }, outcome);
   }
   outcome.inserted = 1;

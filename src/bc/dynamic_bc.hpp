@@ -8,11 +8,12 @@
 //   auto r = analytic.insert_edge(u, v); // incremental update
 //   std::span<const double> bc = analytic.scores();
 //
-// The engine can be the sequential CPU algorithm (Green et al.) or either
-// simulated-GPU variant (edge-/node-parallel); all produce identical
-// scores. GPU engines optionally shard their per-source jobs across
-// `num_devices` simulated devices with cross-device work stealing
-// (bc/sharded_gpu.hpp) - scores stay bit-identical to one device; only the
+// The engine can be the sequential CPU algorithm (Green et al.) or a
+// simulated-GPU variant (edge-/node-parallel or adaptive); all produce
+// identical scores. GPU variants run every launch through one GpuEngine
+// (bc/gpu_engine.hpp) whose modeled schedule follows `num_devices`: the
+// paper's strided launch on one device, sharded work-stealing queues
+// across several. Scores are bit-identical at every device count; only the
 // modeled time scales. Graph-structure maintenance cost (patching the CSR
 // in place after a write) is tracked separately from analytic-update time,
 // matching the paper's methodology (§IV cites STINGER [23] for the
@@ -31,9 +32,7 @@
 #include "bc/bc_store.hpp"
 #include "bc/recovery.hpp"
 #include "bc/dynamic_cpu.hpp"
-#include "bc/dynamic_gpu.hpp"
-#include "bc/sharded_gpu.hpp"
-#include "bc/static_gpu.hpp"
+#include "bc/gpu_engine.hpp"
 #include "bc/update_outcome.hpp"
 #include "graph/csr_graph.hpp"
 
@@ -71,8 +70,8 @@ class DynamicBc {
     ApproxConfig approx;  // source sampling (paper §II.B)
     sim::DeviceSpec device_spec = sim::DeviceSpec::tesla_c2075();
     /// GPU engines only: shard per-source jobs across this many simulated
-    /// devices with cross-device work stealing. 1 = the single-device
-    /// engines; scores are bit-identical either way.
+    /// devices with cross-device work stealing. 1 = the strided
+    /// single-device schedule; scores are bit-identical either way.
     int num_devices = 1;
     ShardPolicy shard_policy = ShardPolicy::kRoundRobin;
     /// Turns on the simulator's per-address atomic conflict accounting
@@ -167,9 +166,6 @@ class DynamicBc {
  private:
   UpdateOutcome run_update(VertexId u, VertexId v);
   double recompute();
-  /// Charges deterministic modeled backoff cycles to every device the GPU
-  /// engines run on (no-op for the CPU engine).
-  void charge_backoff(double cycles);
   /// Runs one engine pass under the RecoveryPolicy: bounded retries; when
   /// those exhaust and the policy allows it, falls back to a full static
   /// recompute (itself retried, with no further fallback), resetting
@@ -197,7 +193,7 @@ class DynamicBc {
   /// Folds a finished update into the opt-in stream telemetry
   /// (trace/telemetry.hpp). Every update path - single insert, removal,
   /// batch - reports through this one hook at the UpdateOutcome layer, so
-  /// all engines (CPU, GPU variants, sharded) inherit the attribution.
+  /// all engines (CPU and every GPU variant) inherit the attribution.
   /// No-op while telemetry is disabled.
   void record_telemetry(trace::UpdateKind kind,
                         const UpdateOutcome& outcome) const;
@@ -207,11 +203,9 @@ class DynamicBc {
   Options options_;
   bool computed_ = false;
 
-  std::unique_ptr<DynamicCpuEngine> cpu_engine_;
-  std::unique_ptr<DynamicGpuBc> gpu_engine_;     // num_devices == 1
-  std::unique_ptr<StaticGpuBc> gpu_static_;      // num_devices == 1
-  std::unique_ptr<ShardedGpuBc> sharded_;        // num_devices > 1
-  std::unique_ptr<ParallelismPolicy> policy_;    // kGpuAdaptive only
+  std::unique_ptr<DynamicCpuEngine> cpu_engine_;  // kCpu only
+  std::unique_ptr<GpuEngine> gpu_;                // GPU engines only
+  std::unique_ptr<ParallelismPolicy> policy_;     // kGpuAdaptive only
   sim::CostModel cost_model_;
 };
 

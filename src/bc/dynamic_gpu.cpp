@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "bc/adaptive_policy.hpp"
 #include "bc/static_kernels.hpp"
 #include "gpusim/primitives.hpp"
 #include "trace/metrics.hpp"
@@ -899,8 +898,7 @@ SourceUpdateOutcome gpu_insert_source_update(sim::BlockContext& ctx,
 SourceUpdateOutcome gpu_remove_source_update(
     sim::BlockContext& ctx, GpuWorkspace& ws, Parallelism mode,
     const CSRGraph& g, VertexId s, std::span<Dist> d, std::span<Sigma> sigma,
-    std::span<double> delta, std::span<double> bc, VertexId u, VertexId v,
-    std::vector<VertexId>& order, std::vector<std::size_t>& level_offsets) {
+    std::span<double> delta, std::span<double> bc, VertexId u, VertexId v) {
   Rows rows{d, sigma, delta};
   SourceUpdateOutcome outcome;
   ctx.charge_read(rows.d, static_cast<std::size_t>(u));
@@ -950,7 +948,7 @@ SourceUpdateOutcome gpu_remove_source_update(
   outcome.update_case = UpdateCase::kFar;
   outcome.touched = g.num_vertices();
   gpu_recompute_source(ctx, ws, mode, g, s, rows.d, rows.sigma, rows.delta,
-                       bc, order, level_offsets);
+                       bc);
   record_source_update_metrics(outcome, g.num_vertices());
   return outcome;
 }
@@ -958,9 +956,7 @@ SourceUpdateOutcome gpu_remove_source_update(
 void gpu_recompute_source(sim::BlockContext& ctx, GpuWorkspace& ws,
                           Parallelism mode, const CSRGraph& g, VertexId s,
                           std::span<Dist> d, std::span<Sigma> sigma,
-                          std::span<double> delta, std::span<double> bc,
-                          std::vector<VertexId>& order,
-                          std::vector<std::size_t>& level_offsets) {
+                          std::span<double> delta, std::span<double> bc) {
   const std::size_t n = delta.size();
   ctx.parallel_for(n, [&](std::size_t w) {
     ctx.charge_read(delta, w);
@@ -970,7 +966,8 @@ void gpu_recompute_source(sim::BlockContext& ctx, GpuWorkspace& ws,
   if (mode == Parallelism::kEdge) {
     static_source_edge(ctx, g, s, d, sigma, delta, {}, ws.levels);
   } else {
-    static_source_node(ctx, g, s, d, sigma, delta, {}, order, level_offsets);
+    static_source_node(ctx, g, s, d, sigma, delta, {}, ws.order,
+                       ws.level_offsets);
   }
   ctx.parallel_for(n, [&](std::size_t w) {
     ctx.charge_instr(2);
@@ -985,121 +982,5 @@ void gpu_recompute_source(sim::BlockContext& ctx, GpuWorkspace& ws,
 }
 
 }  // namespace detail
-
-void GpuWorkspace::ensure(VertexId n) {
-  const auto size = static_cast<std::size_t>(n);
-  if (t.size() >= size) return;
-  t.assign(size, 0);
-  moved.assign(size, 0);
-  reset.assign(size, 0);
-  sigma_hat.assign(size, 0.0);
-  delta_hat.assign(size, 0.0);
-  d_new.assign(size, kInfDist);
-}
-
-DynamicGpuBc::DynamicGpuBc(sim::DeviceSpec spec, Parallelism mode,
-                           sim::CostModel cost, int host_workers,
-                           bool track_atomic_conflicts)
-    : device_(std::move(spec), cost, host_workers, track_atomic_conflicts),
-      mode_(mode) {
-  workspaces_.resize(static_cast<std::size_t>(device_.spec().num_sms));
-}
-
-GpuUpdateResult DynamicGpuBc::insert_edge_update(const CSRGraph& g,
-                                                 BcStore& store, VertexId u,
-                                                 VertexId v) {
-  const int num_blocks = device_.spec().num_sms;
-  const int k = store.num_sources();
-  GpuUpdateResult result;
-  result.outcomes.resize(static_cast<std::size_t>(k));
-  for (auto& ws : workspaces_) ws.ensure(g.num_vertices());
-  const Parallelism mode = mode_;
-  auto& workspaces = workspaces_;
-  auto& outcomes = result.outcomes;
-
-  LaunchPlan plan;
-  std::vector<double> cycles;
-  if (policy_ != nullptr) {
-    plan = policy_->plan_insert(g, store, u, v);
-    cycles.assign(static_cast<std::size_t>(k), 0.0);
-  }
-
-  const char* name = policy_ != nullptr        ? "insert.adaptive"
-                     : mode == Parallelism::kEdge ? "insert.edge"
-                                                  : "insert.node";
-  result.stats = device_.launch(num_blocks, [&, mode, num_blocks, u,
-                                             v](BlockContext& ctx) {
-    GpuWorkspace& ws = workspaces[static_cast<std::size_t>(ctx.block_id())];
-    for (int si = ctx.block_id(); si < k; si += num_blocks) {
-      const VertexId s = store.sources()[static_cast<std::size_t>(si)];
-      const double c0 = ctx.cycles();
-      outcomes[static_cast<std::size_t>(si)] = detail::gpu_insert_source_update(
-          ctx, ws, plan.mode_or(si, mode), g, s, store.dist_row(si),
-          store.sigma_row(si), store.delta_row(si), store.bc(), u, v);
-      if (!cycles.empty()) {
-        cycles[static_cast<std::size_t>(si)] = ctx.cycles() - c0;
-      }
-    }
-  }, name);
-  if (policy_ != nullptr) {
-    std::vector<VertexId> touched(static_cast<std::size_t>(k), 0);
-    for (int si = 0; si < k; ++si) {
-      touched[static_cast<std::size_t>(si)] =
-          outcomes[static_cast<std::size_t>(si)].touched;
-    }
-    policy_->apply_feedback(plan, cycles, touched);
-  }
-  return result;
-}
-
-GpuUpdateResult DynamicGpuBc::remove_edge_update(const CSRGraph& g,
-                                                 BcStore& store, VertexId u,
-                                                 VertexId v) {
-  const int num_blocks = device_.spec().num_sms;
-  const int k = store.num_sources();
-  GpuUpdateResult result;
-  result.outcomes.resize(static_cast<std::size_t>(k));
-  for (auto& ws : workspaces_) ws.ensure(g.num_vertices());
-  const Parallelism mode = mode_;
-  auto& workspaces = workspaces_;
-  auto& outcomes = result.outcomes;
-
-  LaunchPlan plan;
-  std::vector<double> cycles;
-  if (policy_ != nullptr) {
-    plan = policy_->plan_remove(g, store, u, v);
-    cycles.assign(static_cast<std::size_t>(k), 0.0);
-  }
-
-  const char* name = policy_ != nullptr        ? "remove.adaptive"
-                     : mode == Parallelism::kEdge ? "remove.edge"
-                                                  : "remove.node";
-  result.stats = device_.launch(num_blocks, [&, mode, num_blocks, u,
-                                             v](BlockContext& ctx) {
-    GpuWorkspace& ws = workspaces[static_cast<std::size_t>(ctx.block_id())];
-    std::vector<VertexId> order;
-    std::vector<std::size_t> level_offsets;
-    for (int si = ctx.block_id(); si < k; si += num_blocks) {
-      const VertexId s = store.sources()[static_cast<std::size_t>(si)];
-      const double c0 = ctx.cycles();
-      outcomes[static_cast<std::size_t>(si)] = detail::gpu_remove_source_update(
-          ctx, ws, plan.mode_or(si, mode), g, s, store.dist_row(si),
-          store.sigma_row(si), store.delta_row(si), store.bc(), u, v, order,
-          level_offsets);
-      if (!cycles.empty()) {
-        cycles[static_cast<std::size_t>(si)] = ctx.cycles() - c0;
-      }
-    }
-  }, name);
-  if (policy_ != nullptr) {
-    std::vector<VertexId> touched(static_cast<std::size_t>(k), 0);
-    for (int si = 0; si < k; ++si) {
-      touched[static_cast<std::size_t>(si)] =
-          outcomes[static_cast<std::size_t>(si)].touched;
-    }
-    policy_->apply_feedback(plan, cycles, touched);
-  }
-  return result;
-}
 
 }  // namespace bcdyn

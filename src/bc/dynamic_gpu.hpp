@@ -1,9 +1,7 @@
 // Dynamic betweenness centrality on the simulated GPU (paper §III).
 //
-// One launch per edge insertion; the launch runs `num_sms` thread blocks
-// and block b handles source indices b, b+nblocks, ... (the paper's
-// coarse-grained decomposition, Fig. 3). Per source the block classifies
-// the insertion (§II.D.1) and runs the matching update kernels:
+// Per source, one insertion is classified (§II.D.1) and runs the matching
+// update kernels:
 //
 //   Case 1  nothing to do beyond the two distance reads - this is what
 //           makes the paper's "fastest" updates ~constant time.
@@ -16,68 +14,53 @@
 //           two fine-grained mappings (the paper notes its techniques
 //           "generalize and can be applied to Case 3").
 //
+// DynamicGpuBc launches those per-source bodies through the strided
+// GpuEngine (bc/gpu_engine.hpp): one launch per edge with one block per
+// SM, block b taking sources b, b+nblocks, ... (the paper's coarse-grained
+// decomposition, Fig. 3), and one work-queue launch per batch.
+//
 // Every kernel charges its BlockContext for the memory traffic and atomics
 // a CUDA implementation would issue; modeled time comes from those counters
 // (gpusim/cost_model.hpp). Results are exact and are cross-checked against
 // the sequential engine and static recomputation in the test suite.
 #pragma once
 
-#include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "bc/batch_update.hpp"
 #include "bc/bc_store.hpp"
-#include "bc/case_classify.hpp"
 #include "bc/dynamic_cpu.hpp"
-#include "bc/static_gpu.hpp"
-#include "bc/static_kernels.hpp"
+#include "bc/gpu_engine.hpp"
 #include "gpusim/device.hpp"
 #include "graph/csr_graph.hpp"
 
 namespace bcdyn {
-
-/// Per-block scratch state (the sigma-hat/delta-hat/t arrays of Algorithm 3
-/// plus the queues of Algorithm 5, and the per-level arc ranges of the
-/// edge-parallel sweeps). One instance per thread block, reused across
-/// sources and insertions.
-struct GpuWorkspace {
-  std::vector<std::uint8_t> t;
-  std::vector<std::uint8_t> moved;
-  std::vector<std::uint8_t> reset;
-  std::vector<Sigma> sigma_hat;
-  std::vector<double> delta_hat;
-  std::vector<Dist> d_new;
-  std::vector<VertexId> q;
-  std::vector<VertexId> q2;
-  std::vector<VertexId> qq;
-  std::vector<VertexId> moved_list;
-  std::vector<VertexId> scratch;
-  std::vector<std::uint32_t> flags;
-  detail::LevelArcs levels;
-
-  void ensure(VertexId n);
-};
 
 struct GpuUpdateResult {
   sim::KernelStats stats;
   std::vector<SourceUpdateOutcome> outcomes;  // indexed by source index
 };
 
-// Batch-update types (bc/batch_update.hpp).
-struct BatchConfig;
-struct BatchSnapshots;
-struct GpuBatchResult;
-
 class DynamicGpuBc {
  public:
+  /// `host_workers` is ignored and kept for source compatibility: every
+  /// launch runs on the calling thread.
   DynamicGpuBc(sim::DeviceSpec spec, Parallelism mode,
-               sim::CostModel cost = {}, int host_workers = 0,
-               bool track_atomic_conflicts = false);
+               sim::CostModel cost = {}, int /*host_workers*/ = 0,
+               bool track_atomic_conflicts = false)
+      : core_(GpuSchedule::kStrided, 1, std::move(spec), mode, cost,
+              track_atomic_conflicts) {}
 
   /// Updates every source row of `store` plus the BC scores for the
   /// insertion of {u, v}. `g` must already contain the edge; the store
   /// holds pre-insertion state.
   GpuUpdateResult insert_edge_update(const CSRGraph& g, BcStore& store,
-                                     VertexId u, VertexId v);
+                                     VertexId u, VertexId v) {
+    GpuUpdateResult r;
+    r.stats = core_.insert_edge(g, store, u, v, r.outcomes).stats;
+    return r;
+  }
 
   /// Decremental counterpart: `g` must no longer contain {u, v}; the store
   /// holds pre-removal state. Same-level removals are free; adjacent-level
@@ -85,41 +68,45 @@ class DynamicGpuBc {
   /// kernels; distance-growing removals recompute that source's row on the
   /// device (reported as UpdateCase::kFar with touched = n).
   GpuUpdateResult remove_edge_update(const CSRGraph& g, BcStore& store,
-                                     VertexId u, VertexId v);
+                                     VertexId u, VertexId v) {
+    GpuUpdateResult r;
+    r.stats = core_.remove_edge(g, store, u, v, r.outcomes).stats;
+    return r;
+  }
 
   /// Batched counterpart: one work-queue launch processes every (source,
   /// batch) job, applying the batch's insertions per source in sequence
   /// against the batch's incremental snapshots, with a static-recompute
   /// fallback for sources whose touched fraction exceeds the configured
-  /// threshold. Declared here, defined in bc/batch_update.cpp alongside
-  /// the rest of the batch API.
+  /// threshold (bc/batch_update.hpp).
   GpuBatchResult insert_edge_batch(const BatchSnapshots& batch, BcStore& store,
-                                   const BatchConfig& config);
+                                   const BatchConfig& config) {
+    GpuBatchResult r;
+    GpuLaunch launch = core_.insert_batch(batch, store, config, r.outcomes);
+    r.stats = launch.stats;
+    r.job_sources = std::move(launch.job_sources);
+    r.job_stats = std::move(launch.job_stats);
+    return r;
+  }
 
-  const sim::DeviceSpec& spec() const { return device_.spec(); }
-  Parallelism mode() const { return mode_; }
-  /// The simulated device the engine launches on (the pipelined batch
-  /// driver issues its transfers against this device's copy engine).
-  sim::Device& device() { return device_; }
+  const sim::DeviceSpec& spec() const { return core_.device().spec(); }
+  Parallelism mode() const { return core_.mode(); }
+  /// The simulated device the engine launches on.
+  sim::Device& device() { return core_.device(); }
 
-  /// Adaptive parallelism: when set, every launch plans a per-source
-  /// edge/node decision through the policy (and feeds measured modeled
-  /// cycles back). Null restores the fixed `mode` behavior. Not owned.
-  void set_policy(ParallelismPolicy* policy) { policy_ = policy; }
-  ParallelismPolicy* policy() const { return policy_; }
+  /// Adaptive parallelism (GpuEngine::set_policy). Not owned.
+  void set_policy(ParallelismPolicy* policy) { core_.set_policy(policy); }
+  ParallelismPolicy* policy() const { return core_.policy(); }
 
  private:
-  sim::Device device_;
-  Parallelism mode_;
-  ParallelismPolicy* policy_ = nullptr;
-  std::vector<GpuWorkspace> workspaces_;  // one per block
+  GpuEngine core_;
 };
 
 namespace detail {
 
 /// One insertion applied to one source row inside an existing block:
-/// classify, run the matching case kernels, fold BC deltas. Shared by the
-/// per-edge launch loop and the batch path.
+/// classify, run the matching case kernels, fold BC deltas. The insertion
+/// body of GpuEngine's single-edge and batch launches.
 SourceUpdateOutcome gpu_insert_source_update(sim::BlockContext& ctx,
                                              GpuWorkspace& ws,
                                              Parallelism mode,
@@ -133,25 +120,19 @@ SourceUpdateOutcome gpu_insert_source_update(sim::BlockContext& ctx,
 /// One removal applied to one source row inside an existing block:
 /// classify (same-level removals are free), run the negative-increment
 /// Case 2 kernels when u_low keeps another parent, otherwise recompute the
-/// row on the device. `order`/`level_offsets` are node-parallel frontier
-/// scratch for the recompute fallback. Shared by the per-edge launch loop
-/// and the sharded multi-device path.
+/// row on the device. The removal body of GpuEngine's launches.
 SourceUpdateOutcome gpu_remove_source_update(
     sim::BlockContext& ctx, GpuWorkspace& ws, Parallelism mode,
     const CSRGraph& g, VertexId s, std::span<Dist> d, std::span<Sigma> sigma,
-    std::span<double> delta, std::span<double> bc, VertexId u, VertexId v,
-    std::vector<VertexId>& order, std::vector<std::size_t>& level_offsets);
+    std::span<double> delta, std::span<double> bc, VertexId u, VertexId v);
 
 /// Recomputes source s's row from scratch on the device and folds the
 /// dependency differences into `bc`. Shared by the distance-growing removal
-/// fallback and the batch path's touched-fraction fallback. `order` and
-/// `level_offsets` are node-parallel frontier scratch.
+/// fallback and the batch path's touched-fraction fallback.
 void gpu_recompute_source(sim::BlockContext& ctx, GpuWorkspace& ws,
                           Parallelism mode, const CSRGraph& g, VertexId s,
                           std::span<Dist> d, std::span<Sigma> sigma,
-                          std::span<double> delta, std::span<double> bc,
-                          std::vector<VertexId>& order,
-                          std::vector<std::size_t>& level_offsets);
+                          std::span<double> delta, std::span<double> bc);
 
 }  // namespace detail
 

@@ -14,8 +14,10 @@
 // upload may start as soon as buffer slot (j mod depth) retires - i.e.
 // after batch j-depth's scores landed - so with depth >= 2 batch j+1's
 // staging and upload overlap batch j's kernels. depth == 1 is the fully
-// serialized chain; its modeled time is exactly the sum of every batch's
-// chain, which the tests assert.
+// serialized chain; without injected faults its modeled time is exactly
+// the sum of every batch's chain, which the tests assert. Fault retries
+// add abort penalties and backoff to the device timelines but not to the
+// serial sum, so under faults the makespan can exceed it.
 //
 // Scores are BIT-IDENTICAL to calling DynamicBc::insert_edge_batch on each
 // batch in sequence, at every depth: the driver runs the exact same
@@ -66,9 +68,12 @@ struct PipelineResult {
   /// going idle.
   double modeled_seconds = 0.0;
   /// Sum of every batch's serialized chain (classify + upload + kernels +
-  /// download): what depth == 1 costs, by construction.
+  /// download): what depth == 1 costs without faults, by construction.
   double serial_seconds = 0.0;
-  /// serial_seconds / modeled_seconds; >= 1, and exactly 1 at depth 1.
+  /// serial_seconds / modeled_seconds. Without injected faults it is >= 1,
+  /// and exactly 1 at depth 1; fault penalties and retry backoff count in
+  /// modeled_seconds but not in serial_seconds, so under faults it can
+  /// drop below 1 at any depth.
   double overlap_efficiency = 1.0;
 
   std::uint64_t h2d_bytes = 0;  // summed over batches (and devices)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -223,33 +224,40 @@ KernelStats Device::launch(int num_blocks, const Kernel& kernel,
                        cost_.block_dispatch_cycles);
 }
 
-KernelStats Device::launch_queue(int num_jobs, const JobKernel& kernel,
+KernelStats Device::launch_strided(int num_blocks, int num_jobs,
+                                   const JobKernel& kernel,
+                                   std::string_view name) {
+  check_launch_abort(name);
+  std::vector<BlockContext> contexts;
+  contexts.reserve(static_cast<std::size_t>(num_blocks));
+  for (int b = 0; b < num_blocks; ++b) {
+    contexts.emplace_back(spec_, cost_, b, track_conflicts_);
+  }
+  for (int j = 0; j < num_jobs; ++j) {
+    kernel(contexts[static_cast<std::size_t>(j % num_blocks)], j);
+  }
+  return finish_launch(name, trace::kCatBlock, num_blocks, contexts,
+                       cost_.kernel_launch_cycles,
+                       cost_.block_dispatch_cycles);
+}
+
+KernelStats Device::launch_queue(std::span<const int> queue,
+                                 const JobKernel& kernel,
                                  std::vector<BlockCounters>* per_job,
                                  std::string_view name) {
   check_launch_abort(name);
+  const int num_jobs = static_cast<int>(queue.size());
   const int lanes = std::max(1, std::min(spec_.num_sms, num_jobs));
   std::vector<BlockContext> contexts;
-  contexts.reserve(static_cast<std::size_t>(std::max(num_jobs, 0)));
-  for (int j = 0; j < num_jobs; ++j) {
-    contexts.emplace_back(spec_, cost_, j % lanes, track_conflicts_);
+  contexts.reserve(queue.size());
+  std::vector<std::size_t> position(queue.size());
+  for (int p = 0; p < num_jobs; ++p) {
+    contexts.emplace_back(spec_, cost_, p % lanes, track_conflicts_);
+    position[static_cast<std::size_t>(queue[static_cast<std::size_t>(p)])] =
+        static_cast<std::size_t>(p);
   }
-
-  // Host execution partitions jobs round-robin over `lanes` sequential
-  // streams so that contexts sharing a block_id (and therefore any
-  // per-lane engine workspace) never run concurrently. The partition does
-  // not affect modeled time: each job's cycles depend only on the job.
-  auto run_lane = [&](int lane) {
-    for (int j = lane; j < num_jobs; j += lanes) {
-      kernel(contexts[static_cast<std::size_t>(j)], j);
-    }
-  };
-  if (pool_) {
-    for (int lane = 0; lane < lanes; ++lane) {
-      pool_->submit([&run_lane, lane] { run_lane(lane); });
-    }
-    pool_->wait_idle();
-  } else {
-    for (int lane = 0; lane < lanes; ++lane) run_lane(lane);
+  for (int j = 0; j < num_jobs; ++j) {
+    kernel(contexts[position[static_cast<std::size_t>(j)]], j);
   }
 
   // The persistent blocks dispatch once, concurrently, before draining the
@@ -264,6 +272,14 @@ KernelStats Device::launch_queue(int num_jobs, const JobKernel& kernel,
     for (const auto& ctx : contexts) per_job->push_back(ctx.counters());
   }
   return stats;
+}
+
+KernelStats Device::launch_queue(int num_jobs, const JobKernel& kernel,
+                                 std::vector<BlockCounters>* per_job,
+                                 std::string_view name) {
+  std::vector<int> queue(static_cast<std::size_t>(std::max(num_jobs, 0)));
+  std::iota(queue.begin(), queue.end(), 0);
+  return launch_queue(queue, kernel, per_job, name);
 }
 
 }  // namespace bcdyn::sim

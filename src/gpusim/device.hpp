@@ -1,10 +1,12 @@
 // The simulated device: schedules thread blocks onto SMs.
 //
 // Blocks are independent (the paper's coarse-grained decomposition: one
-// source vertex per block), so the device runs them on a host worker pool
+// source vertex per block), so launch() runs them on a host worker pool
 // when cores are available, or inline in block order when `host_workers` is
 // zero - results are identical either way up to the floating-point
-// reduction order of cross-block atomics.
+// reduction order of cross-block atomics. The job launches
+// (launch_strided, launch_queue) always run on the calling thread in job-id
+// order, so their atomics fold in one fixed order.
 //
 // Modeled time never depends on host execution order: each block's cycle
 // count is deterministic, and the makespan is computed by replaying a
@@ -20,6 +22,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -70,19 +73,34 @@ class Device {
 
   using JobKernel = std::function<void(BlockContext&, int)>;
 
+  /// The paper's strided launch over `num_jobs` independent jobs: job j
+  /// runs on block j % num_blocks, so each block's cycles are the sum of
+  /// its jobs' and the modeled schedule is launch(num_blocks)'s. The host
+  /// runs the jobs in job-id order on the calling thread, never block by
+  /// block, so cross-block atomics fold in job order.
+  KernelStats launch_strided(int num_blocks, int num_jobs,
+                             const JobKernel& kernel,
+                             std::string_view name = {});
+
   /// Work-queue launch (persistent-block style): one resident block per SM
-  /// pops job ids off a global queue in order, so an SM that finishes a
-  /// short job immediately takes the next one - the multi-source scheduler
-  /// behind batched updates. `kernel(ctx, job)` must key its work off `job`;
-  /// `ctx.block_id()` identifies the resident block (use it to pick a
-  /// per-lane workspace; two jobs on the same lane never run concurrently).
+  /// pops jobs off a global queue in order, so an SM that finishes a short
+  /// job immediately takes the next one - the multi-source scheduler
+  /// behind batched updates. `queue[p]` is the job id at queue position p
+  /// (a permutation of 0..queue.size()-1); `kernel(ctx, job)` must key its
+  /// work off the job id, and `ctx.block_id()` is the job's resident lane.
+  /// The host runs jobs in job-id order on the calling thread, whatever
+  /// the queue order.
   ///
   /// Modeled time: one kernel launch, one concurrent dispatch of the
   /// persistent blocks, then a greedy next-free-SM schedule over the
-  /// per-job cycle counts with a queue-pop charge per job. Per-job cycle
-  /// counts are deterministic and independent of lane assignment. When
-  /// `per_job` is non-null it receives each job's counters, indexed by
-  /// queue position.
+  /// per-job cycle counts in queue order with a queue-pop charge per job.
+  /// Every job gets a fresh context, so its cycles are independent of lane
+  /// and order. When `per_job` is non-null it receives each job's counters,
+  /// indexed by queue position.
+  KernelStats launch_queue(std::span<const int> queue, const JobKernel& kernel,
+                           std::vector<BlockCounters>* per_job = nullptr,
+                           std::string_view name = {});
+  /// Same, with the queue in job-id order.
   KernelStats launch_queue(int num_jobs, const JobKernel& kernel,
                            std::vector<BlockCounters>* per_job = nullptr,
                            std::string_view name = {});

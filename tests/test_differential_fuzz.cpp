@@ -202,15 +202,6 @@ TEST_P(FaultedDifferentialFuzz, RecoveredGpuMatchesCpuReferenceEveryStep) {
                               .fallback_recompute = false}});
   cpu.compute();
 
-  // RAII so a failed assertion cannot leak an armed injector into the
-  // other fuzz cases.
-  struct FaultScope {
-    explicit FaultScope(const sim::FaultPlan& plan) {
-      sim::faults().configure(plan);
-      sim::faults().set_enabled(true);
-    }
-    ~FaultScope() { sim::faults().set_enabled(false); }
-  };
   // No device loss here: the seed mixes std::hash, which varies across
   // standard libraries, and losing BOTH devices is unrecoverable by
   // design - an all_lost throw would be a platform-dependent flake, not a
@@ -220,7 +211,7 @@ TEST_P(FaultedDifferentialFuzz, RecoveredGpuMatchesCpuReferenceEveryStep) {
   plan.seed = 0xD1FF ^ std::hash<std::string>{}(gen_name);
   plan.kernel_abort_rate = 0.2;
   plan.stall_rate = 0.2;
-  const FaultScope fault_scope(plan);
+  const test::FaultScope fault_scope(plan);
 
   gpu.compute();
   BCDYN_SEEDED_RNG(rng, 979 + std::hash<std::string>{}(gen_name) % 1000);

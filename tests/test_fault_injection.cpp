@@ -34,24 +34,7 @@
 namespace bcdyn {
 namespace {
 
-/// RAII: installs a plan on the process-wide injector and enables it for
-/// the scope; restores the previous enabled flag on exit. configure()
-/// restarts every per-site decision sequence, so each scope replays its
-/// plan from decision 0.
-class FaultScope {
- public:
-  explicit FaultScope(const sim::FaultPlan& plan)
-      : was_enabled_(sim::faults().enabled()) {
-    sim::faults().configure(plan);
-    sim::faults().set_enabled(true);
-  }
-  FaultScope(const FaultScope&) = delete;
-  FaultScope& operator=(const FaultScope&) = delete;
-  ~FaultScope() { sim::faults().set_enabled(was_enabled_); }
-
- private:
-  bool was_enabled_;
-};
+using test::FaultScope;
 
 void expect_bit_identical(std::span<const double> actual,
                           std::span<const double> expected,

@@ -487,6 +487,8 @@ TEST(Device, LaunchQueueBeatsPerJobLaunchesOnImbalancedJobs) {
 }
 
 TEST(Device, LaunchQueueMatchesInlineAcrossWorkerCounts) {
+  // launch_queue always runs its jobs on the calling thread, so a device
+  // worker pool has no effect on it; only launch() uses the pool.
   const auto kernel = [](BlockContext& ctx, int job) {
     ctx.parallel_for(20 + static_cast<std::size_t>(job) * 7,
                      [&](std::size_t i) {
@@ -501,6 +503,65 @@ TEST(Device, LaunchQueueMatchesInlineAcrossWorkerCounts) {
   EXPECT_EQ(a.total.global_reads, b.total.global_reads);
   EXPECT_EQ(a.total.atomics, b.total.atomics);
   EXPECT_DOUBLE_EQ(a.makespan_cycles, b.makespan_cycles);
+}
+
+TEST(Device, StridedLaunchRunsJobsInJobOrderAndModelsTheBlockLoop) {
+  // Job j lands on block j % 3, so the schedule is the block-loop
+  // launch()'s bit for bit, but the host visits the jobs in job order.
+  const auto work = [](BlockContext& ctx, int job) {
+    ctx.parallel_for(10 + static_cast<std::size_t>(job) * 13,
+                     [&](std::size_t) { ctx.charge_read(2); });
+  };
+  Device loop_dev(tiny_spec(2, 4));
+  const auto loop = loop_dev.launch(3, [&](BlockContext& ctx) {
+    for (int j = ctx.block_id(); j < 8; j += 3) work(ctx, j);
+  });
+  Device strided_dev(tiny_spec(2, 4));
+  std::vector<int> seen;
+  const auto strided = strided_dev.launch_strided(
+      3, 8, [&](BlockContext& ctx, int job) {
+        EXPECT_EQ(ctx.block_id(), job % 3);
+        seen.push_back(job);
+        work(ctx, job);
+      });
+  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(strided.num_blocks, loop.num_blocks);
+  EXPECT_EQ(strided.total.global_reads, loop.total.global_reads);
+  EXPECT_EQ(strided.max_block_cycles, loop.max_block_cycles);
+  EXPECT_EQ(strided.makespan_cycles, loop.makespan_cycles);
+}
+
+TEST(Device, OrderedQueueSchedulesInQueueOrderButRunsInJobOrder) {
+  const auto work = [](BlockContext& ctx, int job) {
+    ctx.parallel_for(5 + static_cast<std::size_t>(job) * 11,
+                     [&](std::size_t) { ctx.charge_read(1); });
+  };
+  const std::vector<int> queue = {3, 0, 4, 1, 2};
+  Device ordered_dev(tiny_spec(2, 4));
+  std::vector<int> seen;
+  std::vector<BlockCounters> per_job;
+  const auto ordered = ordered_dev.launch_queue(
+      queue,
+      [&](BlockContext& ctx, int job) {
+        seen.push_back(job);
+        work(ctx, job);
+      },
+      &per_job);
+  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4}));
+  // Same schedule as a plain queue whose position p runs job queue[p].
+  Device plain_dev(tiny_spec(2, 4));
+  std::vector<BlockCounters> plain_per_job;
+  const auto plain = plain_dev.launch_queue(
+      5,
+      [&](BlockContext& ctx, int p) {
+        work(ctx, queue[static_cast<std::size_t>(p)]);
+      },
+      &plain_per_job);
+  EXPECT_EQ(ordered.makespan_cycles, plain.makespan_cycles);
+  ASSERT_EQ(per_job.size(), plain_per_job.size());
+  for (std::size_t p = 0; p < per_job.size(); ++p) {
+    EXPECT_EQ(per_job[p].global_reads, plain_per_job[p].global_reads) << p;
+  }
 }
 
 TEST(CostModel, CpuSecondsLinearInOps) {

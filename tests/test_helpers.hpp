@@ -10,6 +10,7 @@
 
 #include "graph/coo.hpp"
 #include "graph/csr_graph.hpp"
+#include "gpusim/fault_injector.hpp"
 #include "gpusim/hazard_detector.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
@@ -49,6 +50,26 @@ class HazardScope {
  private:
   bool was_enabled_;
   bool was_strict_;
+};
+
+/// RAII: installs a plan on the process-wide fault injector and enables it
+/// for the scope; restores the previous enabled flag on exit, so a failed
+/// assertion cannot leak an armed injector into later tests. configure()
+/// restarts every per-site decision sequence, so each scope replays its
+/// plan from decision 0.
+class FaultScope {
+ public:
+  explicit FaultScope(const sim::FaultPlan& plan)
+      : was_enabled_(sim::faults().enabled()) {
+    sim::faults().configure(plan);
+    sim::faults().set_enabled(true);
+  }
+  FaultScope(const FaultScope&) = delete;
+  FaultScope& operator=(const FaultScope&) = delete;
+  ~FaultScope() { sim::faults().set_enabled(was_enabled_); }
+
+ private:
+  bool was_enabled_;
 };
 
 inline CSRGraph path_graph(VertexId n) {

@@ -18,9 +18,11 @@
 #include "bc/dynamic_bc.hpp"
 #include "bc/pipeline.hpp"
 #include "bc/session.hpp"
+#include "gen/generators.hpp"
 #include "gpusim/cost_model.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/device_spec.hpp"
+#include "gpusim/fault_injector.hpp"
 #include "gpusim/hazard_detector.hpp"
 #include "gpusim/stream.hpp"
 #include "trace/metrics.hpp"
@@ -349,15 +351,13 @@ TEST(Pipeline, ShardedEngineScoreParity) {
   const PipelineResult r = sharded.insert_edge_batches(batches, {.depth = 2});
   EXPECT_GE(r.overlap_efficiency, 1.0 - 1e-9);
   expect_scores_identical(sync.scores(), sharded.scores());
-  // Against a single device only near-parity holds (cross-block atomic
-  // reduction order differs across shards - the sharding suite's standing
-  // 1e-7 contract, not a pipeline property).
+  // One device folds BC in the same source order, so it agrees bit for bit.
   DynamicBc single(g, {.engine = EngineKind::kGpuEdge, .approx = kApprox});
   single.compute();
   for (const auto& edges : batches) {
     single.insert_edge_batch(edges, BatchConfig{});
   }
-  test::expect_near_spans(single.scores(), sharded.scores(), 1e-7, "bc");
+  expect_scores_identical(single.scores(), sharded.scores());
 }
 
 TEST(Pipeline, CpuEngineFallsBackToSerialChain) {
@@ -377,6 +377,36 @@ TEST(Pipeline, CpuEngineFallsBackToSerialChain) {
   EXPECT_DOUBLE_EQ(r.modeled_seconds, r.serial_seconds);
   EXPECT_EQ(r.h2d_bytes, 0u);
   expect_scores_identical(sync.scores(), piped.scores());
+}
+
+TEST(Pipeline, DepthOneMakespanCoversTheFallbackRecompute) {
+  // Every batch launch aborts through its single retry, so each batch falls
+  // back to a full static recompute. That recompute runs on the devices the
+  // pipeline schedules against, so the depth-1 makespan covers the serial
+  // chain - and exceeds it by the abort penalties and retry backoff, which
+  // land on the device timelines but not in serial_seconds.
+  const auto g = gen::preferential_attachment(400, 3, 17);
+  const auto batches = make_batches(g, 1, 8, 37);
+  sim::FaultPlan plan;
+  plan.seed = 5;
+  plan.kernel_abort_rate = 1.0;
+  plan.site_filter = "batch";
+  for (const int devices : {1, 2}) {
+    SCOPED_TRACE("devices " + std::to_string(devices));
+    DynamicBc analytic(g, {.engine = EngineKind::kGpuNode,
+                           .approx = {.num_sources = 28, .seed = 3},
+                           .num_devices = devices,
+                           .recovery = {.max_retries = 1}});
+    analytic.compute();
+    PipelineResult r;
+    {
+      const test::FaultScope faults(plan);
+      r = analytic.insert_edge_batches(batches, {.depth = 1});
+    }
+    ASSERT_EQ(r.total.recomputed_sources, 28);
+    EXPECT_GE(r.modeled_seconds, r.serial_seconds);
+    EXPECT_LT(analytic.verify_against_recompute(), 1e-7);
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -5,6 +5,7 @@
 // function of its inputs.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -211,30 +212,65 @@ TEST(ShardedBc, DynamicBcRoutesUpdatesThroughTheGroup) {
 }
 
 TEST(ShardedBc, DynamicBcScoresBitIdenticalAcrossShardedDeviceCounts) {
-  // Both counts route through ShardedGpuBc (sequential host execution), so
-  // the scores agree to the last bit; the single-device engine is the
-  // separately-validated launch_queue path and only agrees numerically.
-  const auto g = test::gnp_graph(40, 0.08, 67);
-  std::vector<std::unique_ptr<DynamicBc>> analytics;
-  for (const int devices : {2, 4}) {
-    analytics.push_back(std::make_unique<DynamicBc>(
-        g, DynamicBc::Options{.engine = EngineKind::kGpuEdge,
-                              .approx = {.num_sources = 10, .seed = 8},
-                              .num_devices = devices}));
-    analytics.back()->compute();
+  // Every device count runs the same per-source bodies in source order -
+  // one device through the strided launch and the batch work queue,
+  // several through the sharded group - so the scores agree to the last
+  // bit after every operation. 28 sources over 14 SMs put two sources on
+  // most strided blocks.
+  const auto g = test::gnp_graph(60, 0.06, 67);
+  for (const EngineKind engine :
+       {EngineKind::kGpuEdge, EngineKind::kGpuNode, EngineKind::kGpuAdaptive}) {
+    SCOPED_TRACE(to_string(engine));
+    const std::vector<int> counts = {1, 2, 4};
+    std::vector<std::unique_ptr<DynamicBc>> analytics;
+    for (const int devices : counts) {
+      analytics.push_back(std::make_unique<DynamicBc>(
+          g, DynamicBc::Options{.engine = engine,
+                                .approx = {.num_sources = 28, .seed = 8},
+                                .num_devices = devices}));
+      analytics.back()->compute();
+    }
+    const auto expect_identical = [&](const char* step) {
+      for (std::size_t i = 1; i < analytics.size(); ++i) {
+        for (std::size_t v = 0; v < analytics[0]->scores().size(); ++v) {
+          ASSERT_EQ(analytics[0]->scores()[v], analytics[i]->scores()[v])
+              << step << ": vertex " << v << " at " << counts[i]
+              << " devices";
+        }
+      }
+    };
+    expect_identical("compute");
+
+    BCDYN_SEEDED_RNG(rng, 83);
+    std::vector<std::pair<VertexId, VertexId>> inserted;
+    for (int step = 0; step < 4; ++step) {
+      const auto [u, v] = test::random_absent_edge(analytics[0]->graph(), rng);
+      for (auto& a : analytics) EXPECT_TRUE(a->insert_edge(u, v).inserted);
+      inserted.emplace_back(u, v);
+    }
+    expect_identical("inserts");
+
+    // Removing the inserted edges takes away the shortcuts they made: a
+    // distance-growing removal for every source that used one.
+    int case3 = 0;
+    for (const auto& [u, v] : inserted) {
+      for (auto& a : analytics) {
+        const UpdateOutcome o = a->remove_edge(u, v);
+        if (a == analytics.front()) case3 += o.case3;
+      }
+    }
+    EXPECT_GT(case3, 0);
+    expect_identical("removals");
+
+    std::vector<std::pair<VertexId, VertexId>> batch;
+    for (int i = 0; i < 6; ++i) {
+      const auto [u, v] = test::random_absent_edge(analytics[0]->graph(), rng);
+      batch.emplace_back(u, v);
+    }
+    for (auto& a : analytics) a->insert_edge_batch(batch);
+    expect_identical("batch");
+    EXPECT_LT(analytics[0]->verify_against_recompute(), 1e-7);
   }
-  BCDYN_SEEDED_RNG(rng, 83);
-  for (int step = 0; step < 4; ++step) {
-    const auto [u, v] = test::random_absent_edge(analytics[0]->graph(), rng);
-    for (auto& a : analytics) EXPECT_TRUE(a->insert_edge(u, v).inserted);
-  }
-  for (std::size_t v = 0; v < analytics[0]->scores().size(); ++v) {
-    ASSERT_EQ(analytics[0]->scores()[v], analytics[1]->scores()[v]) << v;
-  }
-  DynamicBc single(g, {.engine = EngineKind::kGpuEdge,
-                       .approx = {.num_sources = 10, .seed = 8}});
-  single.compute();
-  EXPECT_LT(analytics[0]->verify_against_recompute(), 1e-7);
 }
 
 TEST(ShardedBc, RejectsNonPositiveDeviceCounts) {
