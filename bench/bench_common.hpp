@@ -143,6 +143,20 @@ inline void warn_unused(const util::Cli& cli) {
   }
 }
 
+/// Checks a count-list flag (lanes, blocks): every entry must be >= 1.
+/// Prints a usage error and returns false otherwise.
+inline bool require_counts(const std::vector<std::int64_t>& counts,
+                           const std::string& flag) {
+  for (const auto c : counts) {
+    if (c < 1) {
+      std::cerr << "usage error: --" << flag << " entries must be >= 1, got "
+                << c << "\n";
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Records one headline bench result as a stable-keyed gauge
 /// (`<bench>.<graph>.<key>`) destined for the --metrics JSON file.
 inline void record_result(const std::string& bench, const std::string& graph,

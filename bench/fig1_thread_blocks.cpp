@@ -8,7 +8,8 @@
 // the block->SM makespan schedule.
 //
 // Flags: common flags (bench_common.hpp) plus
-//   --blocks=1,2,...   block counts to sweep (default 1..8,14,28,56)
+//   --blocks=1,2,...   block counts to sweep, each >= 1 (default
+//                      1..8,14,28,56)
 //   --exact            use exact BC (paper's setup; default: true for the
 //                      small fig1 graphs)
 #include <cstdio>
@@ -26,6 +27,7 @@ int main(int argc, char** argv) {
   auto blocks = cli.get_int_list("blocks", {1, 2, 3, 4, 5, 6, 7, 8, 14, 28, 56});
   const bool exact = cli.get_bool("exact", true);
   bench::warn_unused(cli);
+  if (!bench::require_counts(blocks, "blocks")) return 2;
 
   // The paper uses the largest DIMACS graphs feasible for exact BC; at
   // simulator-on-one-host speed that is a few thousand vertices, so Fig. 1

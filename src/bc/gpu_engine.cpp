@@ -118,8 +118,7 @@ GpuEngine::GpuEngine(GpuSchedule schedule, int num_devices,
     if (num_devices != 1) {
       throw std::invalid_argument("GpuEngine: kStrided runs on one device");
     }
-    device_.emplace(std::move(spec), cost, /*host_workers=*/0,
-                    track_atomic_conflicts);
+    device_.emplace(std::move(spec), cost, track_atomic_conflicts);
   }
 }
 

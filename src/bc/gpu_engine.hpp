@@ -118,7 +118,7 @@ class GpuEngine {
   }
 
   /// kStrided requires num_devices == 1 and ignores `shard_policy`. Every
-  /// launch runs on the calling thread, so the devices get no worker pool.
+  /// launch runs on the calling thread.
   GpuEngine(GpuSchedule schedule, int num_devices, sim::DeviceSpec spec,
             Parallelism mode, sim::CostModel cost = {},
             bool track_atomic_conflicts = false,

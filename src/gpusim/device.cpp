@@ -34,16 +34,11 @@ void collect_hazards(std::string_view name,
   hazards().collect(name.empty() ? "kernel" : name, states);
 }
 
-Device::Device(DeviceSpec spec, CostModel cost, int host_workers,
-               bool track_atomic_conflicts)
+Device::Device(DeviceSpec spec, CostModel cost, bool track_atomic_conflicts)
     : spec_(std::move(spec)),
       cost_(cost),
       track_conflicts_(track_atomic_conflicts),
       trace_pid_(next_trace_pid()) {
-  if (host_workers > 0) {
-    pool_ = std::make_unique<util::ThreadPool>(
-        static_cast<std::size_t>(host_workers));
-  }
   trace::tracer().set_process_name(
       trace_pid_, "device " + std::to_string(trace_pid_ - trace::kDevicePidBase) +
                       " (" + spec_.name + ")");
@@ -203,25 +198,9 @@ void Device::check_launch_abort(std::string_view name) {
 
 KernelStats Device::launch(int num_blocks, const Kernel& kernel,
                            std::string_view name) {
-  check_launch_abort(name);
-  std::vector<BlockContext> contexts;
-  contexts.reserve(static_cast<std::size_t>(num_blocks));
-  for (int b = 0; b < num_blocks; ++b) {
-    contexts.emplace_back(spec_, cost_, b, track_conflicts_);
-  }
-
-  if (pool_) {
-    for (int b = 0; b < num_blocks; ++b) {
-      pool_->submit([&kernel, &contexts, b] { kernel(contexts[static_cast<std::size_t>(b)]); });
-    }
-    pool_->wait_idle();
-  } else {
-    for (auto& ctx : contexts) kernel(ctx);
-  }
-
-  return finish_launch(name, trace::kCatBlock, num_blocks, contexts,
-                       cost_.kernel_launch_cycles,
-                       cost_.block_dispatch_cycles);
+  return launch_strided(
+      num_blocks, num_blocks,
+      [&kernel](BlockContext& ctx, int) { kernel(ctx); }, name);
 }
 
 KernelStats Device::launch_strided(int num_blocks, int num_jobs,

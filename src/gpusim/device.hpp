@@ -1,12 +1,9 @@
 // The simulated device: schedules thread blocks onto SMs.
 //
 // Blocks are independent (the paper's coarse-grained decomposition: one
-// source vertex per block), so launch() runs them on a host worker pool
-// when cores are available, or inline in block order when `host_workers` is
-// zero - results are identical either way up to the floating-point
-// reduction order of cross-block atomics. The job launches
-// (launch_strided, launch_queue) always run on the calling thread in job-id
-// order, so their atomics fold in one fixed order.
+// source vertex per block). Every launch runs its blocks or jobs on the
+// calling thread in id order, so cross-block atomics fold in one fixed
+// order; SMs and blocks exist only in the modeled arithmetic below.
 //
 // Modeled time never depends on host execution order: each block's cycle
 // count is deterministic, and the makespan is computed by replaying a
@@ -21,7 +18,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -31,7 +27,6 @@
 #include "gpusim/cost_model.hpp"
 #include "gpusim/device_spec.hpp"
 #include "gpusim/kernel_stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace bcdyn::sim {
 
@@ -57,7 +52,7 @@ struct LaunchTimeline {
 
 class Device {
  public:
-  explicit Device(DeviceSpec spec, CostModel cost = {}, int host_workers = 0,
+  explicit Device(DeviceSpec spec, CostModel cost = {},
                   bool track_atomic_conflicts = false);
 
   const DeviceSpec& spec() const { return spec_; }
@@ -65,9 +60,10 @@ class Device {
 
   using Kernel = std::function<void(BlockContext&)>;
 
-  /// Launches `num_blocks` blocks of `kernel`. Blocks see their id via
-  /// BlockContext::block_id(). Blocking; returns the launch's stats.
-  /// `name` labels the launch in traces, metrics, and reports.
+  /// Launches `num_blocks` blocks of `kernel`: launch_strided with one job
+  /// per block. Blocks see their id via BlockContext::block_id(). Returns
+  /// the launch's stats; `name` labels the launch in traces, metrics, and
+  /// reports.
   KernelStats launch(int num_blocks, const Kernel& kernel,
                      std::string_view name = {});
 
@@ -75,9 +71,9 @@ class Device {
 
   /// The paper's strided launch over `num_jobs` independent jobs: job j
   /// runs on block j % num_blocks, so each block's cycles are the sum of
-  /// its jobs' and the modeled schedule is launch(num_blocks)'s. The host
-  /// runs the jobs in job-id order on the calling thread, never block by
-  /// block, so cross-block atomics fold in job order.
+  /// its jobs', and the blocks go onto SMs by the greedy schedule. The
+  /// host runs the jobs in job-id order on the calling thread, never block
+  /// by block, so cross-block atomics fold in job order.
   KernelStats launch_strided(int num_blocks, int num_jobs,
                              const JobKernel& kernel,
                              std::string_view name = {});
@@ -218,7 +214,6 @@ class Device {
   DeviceSpec spec_;
   CostModel cost_;
   bool track_conflicts_;
-  std::unique_ptr<util::ThreadPool> pool_;  // null => inline execution
   KernelStats accumulated_;
   LaunchTimeline last_timeline_;
   int trace_pid_ = 0;

@@ -1,9 +1,9 @@
 // Atomic accumulation into plain double arrays via std::atomic_ref.
 //
 // The simulated GPU engines update the shared BC array from concurrent
-// thread blocks exactly like the paper's kernels do with atomicAdd. With
-// the default inline (sequential) device the adds are plain stores and
-// fully deterministic; with host workers > 0 they are real atomic RMWs.
+// thread blocks exactly like the paper's kernels do with atomicAdd. The
+// simulated device runs every block on the calling thread, so the adds
+// land in one fixed order and are fully deterministic.
 #pragma once
 
 #include <atomic>

@@ -1,9 +1,11 @@
-// The library's central correctness property: after any edge insertion the
-// incrementally-updated per-source state (d, sigma, delta) and BC scores
-// must equal a from-scratch static recomputation on the updated graph.
+// The library's central correctness property: after any edge insertion (or,
+// in a mixed stream, removal) the incrementally-updated per-source state
+// (d, sigma, delta) and BC scores must equal a from-scratch static
+// recomputation on the updated graph.
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "bc/brandes.hpp"
 #include "bc/dynamic_cpu.hpp"
@@ -13,35 +15,87 @@
 namespace bcdyn {
 namespace {
 
-/// Applies `steps` random insertions to g, updating with the CPU engine and
+/// One update of a stream: insert or remove the edge {u, v}.
+struct StreamOp {
+  bool insert = true;
+  VertexId u = kNoVertex;
+  VertexId v = kNoVertex;
+};
+
+/// A seeded update stream over `g`: with probability `remove_share` a step
+/// removes a random present edge, otherwise it inserts a random absent one.
+/// At share 0 no removal draw is made, so an insert-only stream's edges
+/// depend on the seed alone. `graphs[i]` receives the graph after op i.
+std::vector<StreamOp> make_stream(CSRGraph g, int steps, std::uint64_t seed,
+                                  double remove_share,
+                                  std::vector<CSRGraph>& graphs) {
+  BCDYN_SEEDED_RNG(rng, seed);
+  std::vector<StreamOp> ops;
+  for (int step = 0; step < steps; ++step) {
+    if (remove_share > 0.0 && g.num_edges() > 0 &&
+        rng.next_bool(remove_share)) {
+      const COOGraph coo = g.to_coo();
+      const auto [u, v] = coo.edges[static_cast<std::size_t>(
+          rng.next_below(coo.edges.size()))];
+      g = g.without_edge(u, v);
+      ops.push_back({false, u, v});
+    } else {
+      const auto [u, v] = test::random_absent_edge(g, rng);
+      if (u == kNoVertex) break;
+      g = g.with_edge(u, v);
+      ops.push_back({true, u, v});
+    }
+    graphs.push_back(g);
+  }
+  return ops;
+}
+
+/// Applies `op` (whose post-op graph is `g`) to source si of `store`.
+/// `force_general` routes Case 2 insertions through the Case 3 framework.
+SourceUpdateOutcome apply_op(DynamicCpuEngine& engine, const CSRGraph& g,
+                             BcStore& store, int si, const StreamOp& op,
+                             bool force_general = false) {
+  const VertexId s = store.sources()[static_cast<std::size_t>(si)];
+  return op.insert
+             ? engine.update_source(g, s, store.dist_row(si),
+                                    store.sigma_row(si), store.delta_row(si),
+                                    store.bc(), op.u, op.v, force_general)
+             : engine.remove_update_source(g, s, store.dist_row(si),
+                                           store.sigma_row(si),
+                                           store.delta_row(si), store.bc(),
+                                           op.u, op.v);
+}
+
+struct StreamCounts {
+  int performed = 0;   // ops applied
+  int recomputed = 0;  // (source, removal) pairs that lengthened distances
+};
+
+/// Applies a `make_stream` stream to g, updating with the CPU engine and
 /// checking full state equality against static recomputation after every
-/// step. Reports the number of insertions actually performed via
-/// `performed_out` (gtest ASSERTs require a void function).
-void check_insertion_stream(CSRGraph g, const ApproxConfig& cfg, int steps,
-                            std::uint64_t seed, bool force_general,
-                            int* performed_out = nullptr) {
+/// step. Reports what ran via `counts` (gtest ASSERTs require a void
+/// function).
+void check_stream(const CSRGraph& g, const ApproxConfig& cfg, int steps,
+                  std::uint64_t seed, bool force_general, double remove_share,
+                  StreamCounts& counts) {
   const VertexId n = g.num_vertices();
+  std::vector<CSRGraph> graphs;
+  const auto ops = make_stream(g, steps, seed, remove_share, graphs);
   BcStore store(n, cfg);
   brandes_all(g, store);
   DynamicCpuEngine engine(n);
-  BCDYN_SEEDED_RNG(rng, seed);
 
-  int performed = 0;
-  for (int step = 0; step < steps; ++step) {
-    const auto [u, v] = test::random_absent_edge(g, rng);
-    if (u == kNoVertex) break;
-    g = g.with_edge(u, v);
+  for (std::size_t step = 0; step < ops.size(); ++step) {
+    const StreamOp& op = ops[step];
     for (int si = 0; si < store.num_sources(); ++si) {
-      const VertexId s = store.sources()[static_cast<std::size_t>(si)];
-      engine.update_source(g, s, store.dist_row(si), store.sigma_row(si),
-                           store.delta_row(si), store.bc(), u, v,
-                           force_general);
+      const auto r = apply_op(engine, graphs[step], store, si, op,
+                              force_general);
+      if (!op.insert && r.update_case == UpdateCase::kFar) ++counts.recomputed;
     }
-    ++performed;
-    if (performed_out != nullptr) *performed_out = performed;
+    ++counts.performed;
 
     BcStore fresh(n, cfg);
-    brandes_all(g, fresh);
+    brandes_all(graphs[step], fresh);
     for (int si = 0; si < store.num_sources(); ++si) {
       const auto d_upd = store.dist_row(si);
       const auto d_ref = fresh.dist_row(si);
@@ -52,7 +106,8 @@ void check_insertion_stream(CSRGraph g, const ApproxConfig& cfg, int steps,
       for (std::size_t i = 0; i < d_upd.size(); ++i) {
         ASSERT_EQ(d_upd[i], d_ref[i])
             << "dist step=" << step << " si=" << si << " v=" << i
-            << " edge=(" << u << "," << v << ")";
+            << (op.insert ? " inserted=(" : " removed=(") << op.u << ","
+            << op.v << ")";
         ASSERT_DOUBLE_EQ(s_upd[i], s_ref[i])
             << "sigma step=" << step << " si=" << si << " v=" << i;
         ASSERT_NEAR(dl_upd[i], dl_ref[i],
@@ -73,9 +128,9 @@ TEST_P(DynamicCpuStream, MatchesStaticRecomputeAfterEveryInsertion) {
   const auto [n, p, k, seed, general] = GetParam();
   const auto g = test::gnp_graph(static_cast<VertexId>(n), p, seed);
   ApproxConfig cfg{.num_sources = k, .seed = seed + 1};
-  int performed = 0;
-  check_insertion_stream(g, cfg, 12, seed + 2, general, &performed);
-  EXPECT_GT(performed, 0);
+  StreamCounts counts;
+  check_stream(g, cfg, 12, seed + 2, general, /*remove_share=*/0.0, counts);
+  EXPECT_GT(counts.performed, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -99,6 +154,29 @@ INSTANTIATE_TEST_SUITE_P(
         StreamParam{30, 0.15, 0, 105, true},
         StreamParam{40, 0.02, 0, 108, true},
         StreamParam{48, 0.05, 12, 104, true}));
+
+using MixedParam = std::tuple<int /*n*/, double /*p*/, int /*k*/,
+                              std::uint64_t /*seed*/>;
+
+class DynamicCpuMixedStream : public ::testing::TestWithParam<MixedParam> {};
+
+TEST_P(DynamicCpuMixedStream, MatchesStaticRecomputeAfterEveryUpdate) {
+  // The same harness with 40% removals: removals that lengthen distances
+  // make the engine recompute the source, and the stream must reach one.
+  const auto [n, p, k, seed] = GetParam();
+  const auto g = test::gnp_graph(static_cast<VertexId>(n), p, seed);
+  ApproxConfig cfg{.num_sources = k, .seed = seed + 1};
+  StreamCounts counts;
+  check_stream(g, cfg, 12, seed + 2, /*force_general=*/false,
+               /*remove_share=*/0.4, counts);
+  EXPECT_GT(counts.performed, 0);
+  EXPECT_GT(counts.recomputed, 0) << "no distance-growing removal";
+}
+
+INSTANTIATE_TEST_SUITE_P(MixedSweep, DynamicCpuMixedStream,
+                         ::testing::Values(MixedParam{48, 0.05, 12, 111},
+                                           MixedParam{64, 0.015, 16, 112},
+                                           MixedParam{40, 0.20, 10, 113}));
 
 TEST(DynamicCpu, PathGraphChordInsertions) {
   // Chords on a path create textbook Case 3 updates with long moved chains.
@@ -230,6 +308,43 @@ TEST(DynamicCpu, CountersIncreaseMonotonically) {
   }
   engine.reset_counters();
   EXPECT_EQ(engine.counters().reads, 0u);
+}
+
+TEST(DynamicCpu, PerSourceCountsDependOnlyOnThatSource) {
+  // bench/scaling_cpu_cores models CPU lanes by adding each source's
+  // counters() change to its lane: exact only if a source's counts never
+  // depend on which sources the engine ran before it. One engine running
+  // every source in order must count exactly what a fresh engine per
+  // (op, source) counts, over inserts and distance-growing removals.
+  const auto g0 = gen::small_world(120, 3, 0.1, 17);
+  const ApproxConfig cfg{.num_sources = 10, .seed = 3};
+  std::vector<CSRGraph> graphs;
+  const auto stream = make_stream(g0, 16, 71, 0.4, graphs);
+  BcStore shared_store(g0.num_vertices(), cfg);
+  BcStore fresh_store(g0.num_vertices(), cfg);
+  brandes_all(g0, shared_store);
+  brandes_all(g0, fresh_store);
+  DynamicCpuEngine shared(g0.num_vertices());
+
+  int recomputed = 0;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    for (int si = 0; si < shared_store.num_sources(); ++si) {
+      const CpuOpCounters before = shared.counters();
+      const auto r = apply_op(shared, graphs[i], shared_store, si, stream[i]);
+      const CpuOpCounters& after = shared.counters();
+      if (!stream[i].insert && r.update_case == UpdateCase::kFar) ++recomputed;
+
+      DynamicCpuEngine alone(g0.num_vertices());
+      apply_op(alone, graphs[i], fresh_store, si, stream[i]);
+      EXPECT_EQ(after.instrs - before.instrs, alone.counters().instrs)
+          << "op=" << i << " si=" << si;
+      EXPECT_EQ(after.reads - before.reads, alone.counters().reads)
+          << "op=" << i << " si=" << si;
+      EXPECT_EQ(after.writes - before.writes, alone.counters().writes)
+          << "op=" << i << " si=" << si;
+    }
+  }
+  EXPECT_GT(recomputed, 0) << "no distance-growing removal in the stream";
 }
 
 }  // namespace
