@@ -455,9 +455,9 @@ LaunchPlan ParallelismPolicy::plan_static(const CSRGraph& g,
   return plan;
 }
 
-LaunchPlan ParallelismPolicy::plan_insert(const CSRGraph& g,
+LaunchPlan ParallelismPolicy::plan_update(const CSRGraph& g,
                                           const BcStore& store, VertexId u,
-                                          VertexId v) {
+                                          VertexId v, bool removal) {
   const int k = store.num_sources();
   LaunchPlan plan = make_plan(k);
   if (k == 0) return plan;
@@ -466,48 +466,17 @@ LaunchPlan ParallelismPolicy::plan_insert(const CSRGraph& g,
   const GraphFeatures& gf = graph_features(g, store.sources()[0]);
   for (int si = 0; si < k; ++si) {
     const auto d = store.dist_row(si);
-    const CaseInfo info = classify_insertion(d, u, v);
+    const CaseInfo info = removal ? classify_removal(g, d, u, v)
+                                  : classify_insertion(d, u, v);
     if (info.update_case == UpdateCase::kNoWork) continue;
-    const LaunchKind kind = info.update_case == UpdateCase::kAdjacent
-                                ? LaunchKind::kInsertCase2
-                                : LaunchKind::kInsertCase3;
+    const bool adjacent = info.update_case == UpdateCase::kAdjacent;
+    const LaunchKind kind =
+        removal ? (adjacent ? LaunchKind::kRemoval : LaunchKind::kRecompute)
+                : (adjacent ? LaunchKind::kInsertCase2
+                            : LaunchKind::kInsertCase3);
     const auto i = static_cast<std::size_t>(si);
     plan.features[i] = update_features(
         kind, si, gf, d[static_cast<std::size_t>(info.u_low)]);
-    plan.modes[i] = decide(plan.features[i]);
-    plan.decided[i] = 1;
-  }
-  return plan;
-}
-
-LaunchPlan ParallelismPolicy::plan_remove(const CSRGraph& g,
-                                          const BcStore& store, VertexId u,
-                                          VertexId v) {
-  const int k = store.num_sources();
-  LaunchPlan plan = make_plan(k);
-  if (k == 0) return plan;
-  trace::Span span("bc.adaptive.plan", "bc",
-                   {{"sources", static_cast<double>(k)}});
-  const GraphFeatures& gf = graph_features(g, store.sources()[0]);
-  for (int si = 0; si < k; ++si) {
-    const auto d = store.dist_row(si);
-    const Dist du = d[static_cast<std::size_t>(u)];
-    const Dist dv = d[static_cast<std::size_t>(v)];
-    if (du == dv) continue;  // never on a shortest path: no kernel work
-    const VertexId u_low = du < dv ? v : u;
-    bool has_other_parent = false;
-    for (const VertexId x : g.neighbors(u_low)) {
-      if (d[static_cast<std::size_t>(x)] + 1 ==
-          d[static_cast<std::size_t>(u_low)]) {
-        has_other_parent = true;
-        break;
-      }
-    }
-    const LaunchKind kind =
-        has_other_parent ? LaunchKind::kRemoval : LaunchKind::kRecompute;
-    const auto i = static_cast<std::size_t>(si);
-    plan.features[i] =
-        update_features(kind, si, gf, d[static_cast<std::size_t>(u_low)]);
     plan.modes[i] = decide(plan.features[i]);
     plan.decided[i] = 1;
   }

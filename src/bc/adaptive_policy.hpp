@@ -187,12 +187,11 @@ class ParallelismPolicy {
   /// time. Planning happens host-side and charges nothing to the modeled
   /// device (the same information a real driver has before enqueueing).
   LaunchPlan plan_static(const CSRGraph& g, const BcStore& store);
-  LaunchPlan plan_insert(const CSRGraph& g, const BcStore& store, VertexId u,
-                         VertexId v);
-  /// `g` is the post-removal graph (the surviving-parent scan mirrors the
-  /// kernel's).
-  LaunchPlan plan_remove(const CSRGraph& g, const BcStore& store, VertexId u,
-                         VertexId v);
+  /// One edge write of either sign; `g` already holds the write (a
+  /// removal's surviving-parent scan reads the post-removal graph, as the
+  /// kernel's does).
+  LaunchPlan plan_update(const CSRGraph& g, const BcStore& store, VertexId u,
+                         VertexId v, bool removal);
   /// `g` is the batch's final graph; per-edge classification reads the
   /// pre-batch dist rows (the same approximation as batch_job_weight).
   LaunchPlan plan_batch(const CSRGraph& g, const BcStore& store,

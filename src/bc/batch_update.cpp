@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "bc/brandes.hpp"
 #include "bc/dynamic_bc.hpp"
 #include "gpusim/cost_model.hpp"
 #include "trace/telemetry.hpp"
@@ -77,7 +76,6 @@ CpuBatchResult batch_insert_update(DynamicCpuEngine& engine,
   const CpuOpCounters before = engine.counters();
   const CSRGraph& final_g = batch.final_graph();
   const VertexId n = final_g.num_vertices();
-  std::vector<double> old_delta;
 
   for (int si = 0; si < store.num_sources(); ++si) {
     const VertexId s = store.sources()[static_cast<std::size_t>(si)];
@@ -92,13 +90,7 @@ CpuBatchResult batch_insert_update(DynamicCpuEngine& engine,
                                       store.bc(), u, v);
         },
         [&] {
-          old_delta.assign(delta.begin(), delta.end());
-          brandes_source(final_g, s, d, sigma, delta, {});
-          auto bc = store.bc();
-          for (std::size_t v = 0; v < bc.size(); ++v) {
-            if (v == static_cast<std::size_t>(s)) continue;
-            bc[v] += delta[v] - old_delta[v];
-          }
+          engine.recompute_source(final_g, s, d, sigma, delta, store.bc());
           result.ops += brandes_pass_cost(final_g);
         });
   }

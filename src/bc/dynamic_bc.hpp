@@ -164,15 +164,20 @@ class DynamicBc {
   double verify_against_recompute() const;
 
  private:
-  UpdateOutcome run_update(VertexId u, VertexId v);
+  /// The one single-edge write behind insert_edge and remove_edge: patches
+  /// the CSR, runs every source's signed update on the configured engine
+  /// (GPU passes under run_recovered), folds the outcomes and records
+  /// telemetry. structure_wall_seconds is the call's wall time minus the
+  /// engine phase's. Rejected writes return a zero outcome.
+  UpdateOutcome write_edge(VertexId u, VertexId v, bool removal);
   double recompute();
   /// Runs one engine pass under the RecoveryPolicy: bounded retries; when
   /// those exhaust and the policy allows it, falls back to a full static
   /// recompute (itself retried, with no further fallback), resetting
   /// `outcome`'s analytic fields to the recompute attribution. Every fault
   /// site fires before the pass mutates analytic state, so a retried pass
-  /// folds deltas in the original order. Shared by run_update, remove_edge,
-  /// and run_batch_kernels.
+  /// folds deltas in the original order. Shared by write_edge and
+  /// run_batch_kernels.
   void run_recovered(const char* what,
                      const std::function<void()>& engine_pass,
                      UpdateOutcome& outcome);

@@ -61,222 +61,89 @@ SourceUpdateOutcome DynamicCpuEngine::update_source(
     const CSRGraph& g, VertexId s, std::span<Dist> dist,
     std::span<Sigma> sigma, std::span<double> delta, std::span<double> bc,
     VertexId u, VertexId v, bool force_general) {
-  assert(g.num_vertices() == n_);
-  const CaseInfo info = classify_insertion(dist, u, v);
-  ops_.reads += 2;
-  ops_.instrs += 4;
-
-  SourceUpdateOutcome outcome;
-  outcome.update_case = info.update_case;
-  if (info.update_case != UpdateCase::kNoWork) {
-    if (info.update_case == UpdateCase::kAdjacent && !force_general) {
-      outcome.touched =
-          case2_update(g, s, dist, sigma, delta, bc, info.u_high, info.u_low);
-    } else {
-      outcome.touched =
-          case3_update(g, s, dist, sigma, delta, bc, info.u_high, info.u_low);
-    }
-  }
-  record_source_update_metrics(outcome, n_);
-  return outcome;
+  return update(g, s, dist, sigma, delta, bc, u, v, /*removal=*/false,
+                force_general);
 }
 
 SourceUpdateOutcome DynamicCpuEngine::remove_update_source(
     const CSRGraph& g, VertexId s, std::span<Dist> dist,
     std::span<Sigma> sigma, std::span<double> delta, std::span<double> bc,
     VertexId u, VertexId v) {
+  return update(g, s, dist, sigma, delta, bc, u, v, /*removal=*/true,
+                /*force_general=*/false);
+}
+
+SourceUpdateOutcome DynamicCpuEngine::update(
+    const CSRGraph& g, VertexId s, std::span<Dist> dist,
+    std::span<Sigma> sigma, std::span<double> delta, std::span<double> bc,
+    VertexId u, VertexId v, bool removal, bool force_general) {
   assert(g.num_vertices() == n_);
-  assert(!g.has_edge(u, v));
-  const Dist du = dist[static_cast<std::size_t>(u)];
-  const Dist dv = dist[static_cast<std::size_t>(v)];
-  ops_.reads += 2;
+  assert(!removal || !g.has_edge(u, v));
+  std::size_t scanned = 0;
+  const CaseInfo info = removal ? classify_removal(g, dist, u, v, &scanned)
+                                : classify_insertion(dist, u, v);
+  ops_.reads += 2 + 2 * scanned;
   ops_.instrs += 4;
 
   SourceUpdateOutcome outcome;
-  if (du == dv) {
-    // Same level (or both unreachable): the edge was never on a shortest
-    // path from s, so nothing changes.
-    outcome.update_case = UpdateCase::kNoWork;
-    record_source_update_metrics(outcome, n_);
-    return outcome;
+  outcome.update_case = info.update_case;
+  if (info.update_case == UpdateCase::kNoWork) {
+    // Case 1: no shortest path from s runs over the edge.
+  } else if (info.update_case == UpdateCase::kAdjacent && !force_general) {
+    outcome.touched = case2_update(g, s, dist, sigma, delta, bc, info.u_high,
+                                   info.u_low, removal);
+  } else if (!removal) {
+    outcome.touched =
+        case3_update(g, s, dist, sigma, delta, bc, info.u_high, info.u_low);
+  } else {
+    // u_low's distance grows (possibly to infinity): per-source recompute.
+    outcome.touched = n_;
+    const auto n = static_cast<std::uint64_t>(n_);
+    const std::size_t moved = recompute_source(g, s, dist, sigma, delta, bc);
+    ops_.reads += 2 * n + static_cast<std::uint64_t>(g.num_arcs()) * 4;
+    ops_.writes += 3 * n + moved;
   }
-  // The edge existed, so the stored levels differ by exactly one.
-  assert(du - dv == 1 || dv - du == 1);
-  const VertexId u_high = du < dv ? u : v;
-  const VertexId u_low = du < dv ? v : u;
-  const auto lo = static_cast<std::size_t>(u_low);
-
-  // Does u_low keep another parent? If yes, no distance changes and the
-  // incremental (negative-increment) Case 2 machinery applies.
-  bool has_other_parent = false;
-  for (VertexId x : g.neighbors(u_low)) {
-    ops_.reads += 2;
-    if (dist[static_cast<std::size_t>(x)] + 1 == dist[lo]) {
-      has_other_parent = true;
-      break;
-    }
-  }
-  if (has_other_parent) {
-    outcome.update_case = UpdateCase::kAdjacent;
-    outcome.touched = case2_removal(g, s, dist, sigma, delta, bc, u_high, u_low);
-    record_source_update_metrics(outcome, n_);
-    return outcome;
-  }
-
-  // u_low's distance grows (possibly to infinity): per-source recompute.
-  // Old dependencies are saved so BC can be adjusted differentially.
-  outcome.update_case = UpdateCase::kFar;
-  outcome.touched = n_;
-  std::copy(delta.begin(), delta.end(), delta_hat_.begin());
-  brandes_source(g, s, dist, sigma, delta, {});
-  const auto n = static_cast<std::size_t>(n_);
-  for (std::size_t w = 0; w < n; ++w) {
-    if (w == static_cast<std::size_t>(s)) continue;
-    if (delta[w] != delta_hat_[w]) {
-      bc[w] += delta[w] - delta_hat_[w];
-      ops_.writes += 1;
-    }
-  }
-  ops_.reads += 2 * n + static_cast<std::uint64_t>(g.num_arcs()) * 4;
-  ops_.writes += 3 * n;
   record_source_update_metrics(outcome, n_);
   return outcome;
 }
 
-VertexId DynamicCpuEngine::case2_removal(
-    const CSRGraph& g, VertexId s, std::span<Dist> dist,
-    std::span<Sigma> sigma, std::span<double> delta, std::span<double> bc,
-    VertexId u_high, VertexId u_low) {
-  init_scratch(sigma, /*case3=*/false, dist);
-  const auto lo = static_cast<std::size_t>(u_low);
-  const auto hi = static_cast<std::size_t>(u_high);
-
-  // Stage 1: the removed edge no longer routes s->u_high paths to u_low.
-  t_[lo] = Touch::kDown;
-  sigma_hat_[lo] = sigma[lo] - sigma[hi];
-  assert(sigma_hat_[lo] >= 1.0);
-  ops_.reads += 2;
-  ops_.writes += 2;
-  VertexId touched = 1;
-
-  // Stage 2: propagate the (negative) sigma increments down, exactly like
-  // the insertion's Case 2 BFS.
-  q_.clear();
-  q_.push_back(u_low);
-  qq_push(dist[lo], u_low);
-  for (std::size_t head = 0; head < q_.size(); ++head) {
-    const VertexId vv = q_[head];
-    const auto vi = static_cast<std::size_t>(vv);
-    const Dist dv = dist[vi];
-    const Sigma inc = sigma_hat_[vi] - sigma[vi];
-    ops_.reads += 3;
-    for (VertexId w : g.neighbors(vv)) {
-      const auto wi = static_cast<std::size_t>(w);
-      ops_.reads += 2;
-      ops_.instrs += 2;
-      if (dist[wi] != dv + 1) continue;
-      if (t_[wi] == Touch::kUntouched) {
-        t_[wi] = Touch::kDown;
-        q_.push_back(w);
-        qq_push(dist[wi], w);
-        ops_.writes += 2;
-        ++touched;
-      }
-      sigma_hat_[wi] += inc;
-      ops_.reads += 1;
-      ops_.writes += 1;
-    }
+std::size_t DynamicCpuEngine::recompute_source(const CSRGraph& g, VertexId s,
+                                               std::span<Dist> dist,
+                                               std::span<Sigma> sigma,
+                                               std::span<double> delta,
+                                               std::span<double> bc) {
+  std::copy(delta.begin(), delta.end(), delta_hat_.begin());
+  brandes_source(g, s, dist, sigma, delta, {});
+  std::size_t moved = 0;
+  for (std::size_t w = 0; w < delta.size(); ++w) {
+    if (w == static_cast<std::size_t>(s) || delta[w] == delta_hat_[w]) continue;
+    bc[w] += delta[w] - delta_hat_[w];
+    ++moved;
   }
-
-  // Pre-pass: u_high lost u_low as a child, and the neighbor scans below
-  // can no longer see the removed edge - subtract the stale contribution
-  // explicitly (the decremental mirror of Algorithm 2's line 32 guard).
-  if (t_[hi] == Touch::kUntouched) {
-    t_[hi] = Touch::kUp;
-    delta_hat_[hi] = delta[hi];
-    qq_push(dist[hi], u_high);
-    ops_.reads += 1;
-    ops_.writes += 2;
-    ++touched;
-  }
-  delta_hat_[hi] -= sigma[hi] / sigma[lo] * (1.0 + delta[lo]);
-  ops_.reads += 4;
-  ops_.writes += 1;
-
-  // Stage 3: dependency repair, farthest level first. Identical to the
-  // insertion path except there is no new-edge exclusion pair: every edge
-  // seen existed before the removal.
-  for (Dist level = qq_max_; level >= 1; --level) {
-    auto& bucket = qq_[static_cast<std::size_t>(level)];
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      const VertexId w = bucket[i];
-      const auto wi = static_cast<std::size_t>(w);
-      const double coeff_new = (1.0 + delta_hat_[wi]) / sigma_hat_[wi];
-      const double coeff_old = (1.0 + delta[wi]) / sigma[wi];
-      ops_.reads += 4;
-      ops_.instrs += 4;
-      for (VertexId vv : g.neighbors(w)) {
-        const auto vi = static_cast<std::size_t>(vv);
-        ops_.reads += 2;
-        ops_.instrs += 2;
-        if (dist[vi] + 1 != dist[wi]) continue;
-        if (t_[vi] == Touch::kUntouched) {
-          t_[vi] = Touch::kUp;
-          delta_hat_[vi] = delta[vi];
-          qq_push(static_cast<Dist>(level - 1), vv);
-          ops_.reads += 1;
-          ops_.writes += 2;
-          ++touched;
-        }
-        delta_hat_[vi] += sigma_hat_[vi] * coeff_new;
-        ops_.reads += 2;
-        ops_.writes += 1;
-        if (t_[vi] == Touch::kUp) {
-          delta_hat_[vi] -= sigma[vi] * coeff_old;
-          ops_.reads += 1;
-          ops_.writes += 1;
-        }
-      }
-      if (w != s) {
-        bc[wi] += delta_hat_[wi] - delta[wi];
-        ops_.reads += 2;
-        ops_.writes += 1;
-      }
-    }
-  }
-
-  // Fold the hatted values back into the per-source state.
-  for (Dist level = qq_min_; level <= qq_max_; ++level) {
-    for (const VertexId w : qq_[static_cast<std::size_t>(level)]) {
-      const auto wi = static_cast<std::size_t>(w);
-      sigma[wi] = sigma_hat_[wi];
-      delta[wi] = delta_hat_[wi];
-      ops_.reads += 2;
-      ops_.writes += 2;
-    }
-  }
-  clear_qq();
-  return touched;
+  return moved;
 }
 
 VertexId DynamicCpuEngine::case2_update(
     const CSRGraph& g, VertexId s, std::span<Dist> dist,
     std::span<Sigma> sigma, std::span<double> delta, std::span<double> bc,
-    VertexId u_high, VertexId u_low) {
+    VertexId u_high, VertexId u_low, bool removal) {
   init_scratch(sigma, /*case3=*/false, dist);
   const auto lo = static_cast<std::size_t>(u_low);
   const auto hi = static_cast<std::size_t>(u_high);
 
   // Stage 1: the inserted edge routes every s->u_high shortest path on to
-  // u_low (Algorithm 2 line 7).
+  // u_low (Algorithm 2 line 7); a removed one takes them away. Negating
+  // the addend is exact, so the removal gets sigma[lo] - sigma[hi].
+  const double sign = removal ? -1.0 : 1.0;
   t_[lo] = Touch::kDown;
-  sigma_hat_[lo] = sigma[lo] + sigma[hi];
+  sigma_hat_[lo] = sigma[lo] + sign * sigma[hi];
   ops_.reads += 2;
   ops_.writes += 2;
   VertexId touched = 1;
 
-  // Stage 2: BFS down from u_low propagating sigma-hat increments.
-  // Distances don't change in Case 2, so a FIFO queue is level ordered.
+  // Stage 2: BFS down from u_low propagating sigma-hat increments
+  // (negative on removal). Distances don't change in Case 2, so a FIFO
+  // queue is level ordered.
   q_.clear();
   q_.push_back(u_low);
   qq_push(dist[lo], u_low);
@@ -302,6 +169,25 @@ VertexId DynamicCpuEngine::case2_update(
       ops_.reads += 1;
       ops_.writes += 1;
     }
+  }
+
+  if (removal) {
+    // u_low keeps another parent, so it still has a shortest path.
+    assert(sigma_hat_[lo] >= 1.0);
+    // u_high lost u_low as a child, and the neighbor scans below can no
+    // longer see the removed edge - subtract the stale contribution
+    // explicitly (the decremental mirror of Algorithm 2's line 32 guard).
+    if (t_[hi] == Touch::kUntouched) {
+      t_[hi] = Touch::kUp;
+      delta_hat_[hi] = delta[hi];
+      qq_push(dist[hi], u_high);
+      ops_.reads += 1;
+      ops_.writes += 2;
+      ++touched;
+    }
+    delta_hat_[hi] -= sigma[hi] / sigma[lo] * (1.0 + delta[lo]);
+    ops_.reads += 4;
+    ops_.writes += 1;
   }
 
   // Stage 3: dependency accumulation, farthest level first. qq_ levels
@@ -335,7 +221,8 @@ VertexId DynamicCpuEngine::case2_update(
         // Remove the stale pre-insertion contribution of w to vv. Down
         // vertices rebuild delta from scratch, so only "up" predecessors
         // carry old contributions; the inserted edge itself never had one
-        // (Algorithm 2 line 32's (v != u_high or w != u_low) guard).
+        // (Algorithm 2 line 32's (v != u_high or w != u_low) guard). After
+        // a removal `g` lacks that edge, so the guard always holds.
         if (t_[vi] == Touch::kUp && !(vv == u_high && w == u_low)) {
           delta_hat_[vi] -= sigma[vi] * coeff_old;
           ops_.reads += 1;

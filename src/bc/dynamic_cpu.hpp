@@ -1,13 +1,20 @@
 // Sequential dynamic betweenness centrality (the paper's CPU baseline,
 // after Green, McColl & Bader [10]).
 //
-// Case 2 (endpoints on adjacent levels) follows the paper's Algorithm 2
-// verbatim: BFS down from u_low propagating sigma-hat increments, then a
-// multi-level-queue dependency accumulation applying +new/-old corrections
-// to brushed ("up") predecessors.
+// Insertions and removals are one signed update (DESIGN.md §9): both
+// classify the edge per source, and a Case 2 write of either sign runs the
+// one Case-2 body.
 //
-// Case 3 (endpoints more than one level apart, including the component-
-// attach sub-case) uses the generalized repair described in DESIGN.md §7:
+// Case 2 (endpoints on adjacent levels) follows the paper's Algorithm 2
+// verbatim: BFS down from u_low propagating sigma-hat increments (negative
+// for a removal), then a multi-level-queue dependency accumulation applying
+// +new/-old corrections to brushed ("up") predecessors. A removal also
+// subtracts u_low's old contribution to u_high, whose edge the neighbor
+// scans can no longer see.
+//
+// Case 3 of an insertion (endpoints more than one level apart, including
+// the component-attach sub-case) uses the generalized repair described in
+// DESIGN.md §7:
 //   Phase A  ascending-level BFS from u_low; moved vertices get new
 //            distances, and every vertex whose parent set or parent sigmas
 //            changed gets sigma-hat recomputed from its (new) parents.
@@ -17,9 +24,11 @@
 //            (moved or sigma changed) from scratch and applies +new/-old
 //            differentials to CARRY vertices (delta-only changes).
 // Case 2 is a special case of this framework; a dedicated test checks that
-// both paths produce identical state on Case 2 insertions.
+// both paths produce identical state on Case 2 insertions. Case 3 of a
+// removal (u_low's distance grows) recomputes that source's row.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -98,9 +107,7 @@ class DynamicCpuEngine {
   /// levels differ by at most one:
   ///  - same level      -> Case 1, nothing to do;
   ///  - adjacent levels -> if u_low keeps another parent, distances are
-  ///    unchanged and the Case 2 machinery runs with *negative* sigma
-  ///    increments (plus the explicit removal of u_low's old contribution
-  ///    to u_high, whose edge the neighbor scans can no longer see);
+  ///    unchanged and the Case 2 body runs with the negative sign;
   ///  - otherwise u_low's distance grows: the source row is recomputed
   ///    from scratch (per-source fallback; reported as UpdateCase::kFar
   ///    with touched = n).
@@ -110,6 +117,14 @@ class DynamicCpuEngine {
                                            std::span<double> delta,
                                            std::span<double> bc, VertexId u,
                                            VertexId v);
+
+  /// Recomputes source s's rows from scratch on `g` and folds the
+  /// dependency change into `bc` (bc[w] += new - old for w != s). Returns
+  /// how many scores moved. Charges no operations: each caller charges its
+  /// own cost (the removal fallback, the batch path's recompute).
+  std::size_t recompute_source(const CSRGraph& g, VertexId s,
+                               std::span<Dist> dist, std::span<Sigma> sigma,
+                               std::span<double> delta, std::span<double> bc);
 
   const CpuOpCounters& counters() const { return ops_; }
   void reset_counters() { ops_ = {}; }
@@ -122,13 +137,17 @@ class DynamicCpuEngine {
   void qq_push(Dist level, VertexId v);
   void clear_qq();
 
+  /// The signed single-edge update behind update_source and
+  /// remove_update_source.
+  SourceUpdateOutcome update(const CSRGraph& g, VertexId s,
+                             std::span<Dist> dist, std::span<Sigma> sigma,
+                             std::span<double> delta, std::span<double> bc,
+                             VertexId u, VertexId v, bool removal,
+                             bool force_general);
   VertexId case2_update(const CSRGraph& g, VertexId s, std::span<Dist> dist,
                         std::span<Sigma> sigma, std::span<double> delta,
-                        std::span<double> bc, VertexId u_high, VertexId u_low);
-  VertexId case2_removal(const CSRGraph& g, VertexId s, std::span<Dist> dist,
-                         std::span<Sigma> sigma, std::span<double> delta,
-                         std::span<double> bc, VertexId u_high,
-                         VertexId u_low);
+                        std::span<double> bc, VertexId u_high, VertexId u_low,
+                        bool removal);
   VertexId case3_update(const CSRGraph& g, VertexId s, std::span<Dist> dist,
                         std::span<Sigma> sigma, std::span<double> delta,
                         std::span<double> bc, VertexId u_high, VertexId u_low);

@@ -45,8 +45,7 @@ struct Rows {
 /// `sign` is +1 for insertions (u_low gains u_high's paths) and -1 for
 /// removals (it loses them).
 void init_kernel(BlockContext& ctx, GpuWorkspace& ws, const Rows& rows,
-                 VertexId u_high, VertexId u_low, bool case3,
-                 double sign = 1.0) {
+                 VertexId u_high, VertexId u_low, bool case3, double sign) {
   const std::size_t n = rows.sigma.size();
   ctx.parallel_for(n, [&](std::size_t v) {
     ctx.charge_instr(1);
@@ -124,7 +123,7 @@ void removal_prepass(BlockContext& ctx, GpuWorkspace& ws, const Rows& rows,
 
 void edge_case2(BlockContext& ctx, const CSRGraph& g, VertexId s,
                 const Rows& rows, GpuWorkspace& ws, VertexId u_high,
-                VertexId u_low, bool removal = false) {
+                VertexId u_low, bool removal) {
   const auto src = g.arc_src();
   const auto dst = g.arc_dst();
   const auto num_arcs = static_cast<std::size_t>(g.num_arcs());
@@ -235,7 +234,7 @@ void edge_case2(BlockContext& ctx, const CSRGraph& g, VertexId s,
 
 void node_case2(BlockContext& ctx, const CSRGraph& g, VertexId s,
                 const Rows& rows, GpuWorkspace& ws, VertexId u_high,
-                VertexId u_low, bool removal = false) {
+                VertexId u_low, bool removal) {
   const auto d = rows.d;
   ws.q.clear();
   ws.q2.clear();
@@ -854,101 +853,55 @@ void removal_prepass(BlockContext& ctx, GpuWorkspace& ws, const Rows& rows,
 
 namespace detail {
 
-SourceUpdateOutcome gpu_insert_source_update(sim::BlockContext& ctx,
-                                             GpuWorkspace& ws,
-                                             Parallelism mode,
-                                             const CSRGraph& g, VertexId s,
-                                             std::span<Dist> d,
-                                             std::span<Sigma> sigma,
-                                             std::span<double> delta,
-                                             std::span<double> bc, VertexId u,
-                                             VertexId v) {
+SourceUpdateOutcome gpu_update_source(sim::BlockContext& ctx,
+                                      GpuWorkspace& ws, Parallelism mode,
+                                      const CSRGraph& g, VertexId s,
+                                      std::span<Dist> d, std::span<Sigma> sigma,
+                                      std::span<double> delta,
+                                      std::span<double> bc, VertexId u,
+                                      VertexId v, bool removal) {
   Rows rows{d, sigma, delta};
   ctx.charge_read(rows.d, static_cast<std::size_t>(u));
   ctx.charge_read(rows.d, static_cast<std::size_t>(v));
   ctx.charge_instr(4);
-  const CaseInfo info = classify_insertion(rows.d, u, v);
+  std::size_t scanned = 0;
+  const CaseInfo info = removal ? classify_removal(g, rows.d, u, v, &scanned)
+                                : classify_insertion(rows.d, u, v);
+  if (info.update_case != UpdateCase::kNoWork && removal) {
+    // The surviving-parent search over u_low's neighbors.
+    const auto lo = static_cast<std::size_t>(info.u_low);
+    ctx.charge_read(rows.d, lo);
+    for (const VertexId x : g.neighbors(info.u_low).first(scanned)) {
+      ctx.charge_read(1);  // adjacency entry (no span here)
+      ctx.charge_read(rows.d, static_cast<std::size_t>(x));
+      ctx.charge_instr(1);
+    }
+  }
   SourceUpdateOutcome outcome;
   outcome.update_case = info.update_case;
-  if (info.update_case == UpdateCase::kNoWork) {
-    outcome.touched = 0;
-    record_source_update_metrics(outcome, g.num_vertices());
-    return outcome;
-  }
-  const bool case3 = info.update_case == UpdateCase::kFar;
-  init_kernel(ctx, ws, rows, info.u_high, info.u_low, case3);
-  if (!case3) {
-    if (mode == Parallelism::kEdge) {
-      edge_case2(ctx, g, s, rows, ws, info.u_high, info.u_low);
+  if (info.update_case == UpdateCase::kFar && removal) {
+    // Distance-growing removal: recompute this source's row on the device
+    // and fold the dependency differences into BC.
+    outcome.touched = g.num_vertices();
+    gpu_recompute_source(ctx, ws, mode, g, s, rows.d, rows.sigma, rows.delta,
+                         bc);
+  } else if (info.update_case != UpdateCase::kNoWork) {
+    const bool case3 = info.update_case == UpdateCase::kFar;
+    init_kernel(ctx, ws, rows, info.u_high, info.u_low, case3,
+                removal ? -1.0 : 1.0);
+    if (case3) {
+      if (mode == Parallelism::kEdge) {
+        edge_case3(ctx, g, s, rows, ws, info.u_high, info.u_low);
+      } else {
+        node_case3(ctx, g, s, rows, ws, info.u_high, info.u_low);
+      }
+    } else if (mode == Parallelism::kEdge) {
+      edge_case2(ctx, g, s, rows, ws, info.u_high, info.u_low, removal);
     } else {
-      node_case2(ctx, g, s, rows, ws, info.u_high, info.u_low);
+      node_case2(ctx, g, s, rows, ws, info.u_high, info.u_low, removal);
     }
-  } else {
-    if (mode == Parallelism::kEdge) {
-      edge_case3(ctx, g, s, rows, ws, info.u_high, info.u_low);
-    } else {
-      node_case3(ctx, g, s, rows, ws, info.u_high, info.u_low);
-    }
+    outcome.touched = finalize_kernel(ctx, ws, rows, bc, s, case3);
   }
-  outcome.touched = finalize_kernel(ctx, ws, rows, bc, s, case3);
-  record_source_update_metrics(outcome, g.num_vertices());
-  return outcome;
-}
-
-SourceUpdateOutcome gpu_remove_source_update(
-    sim::BlockContext& ctx, GpuWorkspace& ws, Parallelism mode,
-    const CSRGraph& g, VertexId s, std::span<Dist> d, std::span<Sigma> sigma,
-    std::span<double> delta, std::span<double> bc, VertexId u, VertexId v) {
-  Rows rows{d, sigma, delta};
-  SourceUpdateOutcome outcome;
-  ctx.charge_read(rows.d, static_cast<std::size_t>(u));
-  ctx.charge_read(rows.d, static_cast<std::size_t>(v));
-  ctx.charge_instr(4);
-  const Dist du = rows.d[static_cast<std::size_t>(u)];
-  const Dist dv = rows.d[static_cast<std::size_t>(v)];
-  if (du == dv) {
-    // The edge was never on a shortest path from this source.
-    outcome.update_case = UpdateCase::kNoWork;
-    outcome.touched = 0;
-    record_source_update_metrics(outcome, g.num_vertices());
-    return outcome;
-  }
-  const VertexId u_high = du < dv ? u : v;
-  const VertexId u_low = du < dv ? v : u;
-  const auto lo = static_cast<std::size_t>(u_low);
-
-  // Does u_low keep another parent in the post-removal graph?
-  bool has_other_parent = false;
-  ctx.charge_read(rows.d, lo);
-  for (VertexId x : g.neighbors(u_low)) {
-    ctx.charge_read(1);  // adjacency entry (no span here)
-    ctx.charge_read(rows.d, static_cast<std::size_t>(x));
-    ctx.charge_instr(1);
-    if (rows.d[static_cast<std::size_t>(x)] + 1 == rows.d[lo]) {
-      has_other_parent = true;
-      break;
-    }
-  }
-
-  if (has_other_parent) {
-    outcome.update_case = UpdateCase::kAdjacent;
-    init_kernel(ctx, ws, rows, u_high, u_low, /*case3=*/false, /*sign=*/-1.0);
-    if (mode == Parallelism::kEdge) {
-      edge_case2(ctx, g, s, rows, ws, u_high, u_low, /*removal=*/true);
-    } else {
-      node_case2(ctx, g, s, rows, ws, u_high, u_low, /*removal=*/true);
-    }
-    outcome.touched = finalize_kernel(ctx, ws, rows, bc, s, /*case3=*/false);
-    record_source_update_metrics(outcome, g.num_vertices());
-    return outcome;
-  }
-
-  // Distance-growing removal: recompute this source's row on the device
-  // and fold the dependency differences into BC.
-  outcome.update_case = UpdateCase::kFar;
-  outcome.touched = g.num_vertices();
-  gpu_recompute_source(ctx, ws, mode, g, s, rows.d, rows.sigma, rows.delta,
-                       bc);
   record_source_update_metrics(outcome, g.num_vertices());
   return outcome;
 }

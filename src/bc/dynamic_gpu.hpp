@@ -58,7 +58,7 @@ class DynamicGpuBc {
   GpuUpdateResult insert_edge_update(const CSRGraph& g, BcStore& store,
                                      VertexId u, VertexId v) {
     GpuUpdateResult r;
-    r.stats = core_.insert_edge(g, store, u, v, r.outcomes).stats;
+    r.stats = core_.update_edge(/*removal=*/false, g, store, u, v, r.outcomes).stats;
     return r;
   }
 
@@ -70,7 +70,7 @@ class DynamicGpuBc {
   GpuUpdateResult remove_edge_update(const CSRGraph& g, BcStore& store,
                                      VertexId u, VertexId v) {
     GpuUpdateResult r;
-    r.stats = core_.remove_edge(g, store, u, v, r.outcomes).stats;
+    r.stats = core_.update_edge(/*removal=*/true, g, store, u, v, r.outcomes).stats;
     return r;
   }
 
@@ -104,27 +104,19 @@ class DynamicGpuBc {
 
 namespace detail {
 
-/// One insertion applied to one source row inside an existing block:
-/// classify, run the matching case kernels, fold BC deltas. The insertion
-/// body of GpuEngine's single-edge and batch launches.
-SourceUpdateOutcome gpu_insert_source_update(sim::BlockContext& ctx,
-                                             GpuWorkspace& ws,
-                                             Parallelism mode,
-                                             const CSRGraph& g, VertexId s,
-                                             std::span<Dist> d,
-                                             std::span<Sigma> sigma,
-                                             std::span<double> delta,
-                                             std::span<double> bc, VertexId u,
-                                             VertexId v);
-
-/// One removal applied to one source row inside an existing block:
-/// classify (same-level removals are free), run the negative-increment
-/// Case 2 kernels when u_low keeps another parent, otherwise recompute the
-/// row on the device. The removal body of GpuEngine's launches.
-SourceUpdateOutcome gpu_remove_source_update(
-    sim::BlockContext& ctx, GpuWorkspace& ws, Parallelism mode,
-    const CSRGraph& g, VertexId s, std::span<Dist> d, std::span<Sigma> sigma,
-    std::span<double> delta, std::span<double> bc, VertexId u, VertexId v);
+/// One signed edge write applied to one source row inside an existing
+/// block: classify (classify_insertion or classify_removal), then run the
+/// Case 2 kernels with the write's sign, the Case 3 repair of an insertion,
+/// or - for a distance-growing removal - recompute the row on the device;
+/// fold BC deltas. The per-source body of GpuEngine's single-edge launches
+/// (either sign) and of its batch launch (insertions).
+SourceUpdateOutcome gpu_update_source(sim::BlockContext& ctx,
+                                      GpuWorkspace& ws, Parallelism mode,
+                                      const CSRGraph& g, VertexId s,
+                                      std::span<Dist> d, std::span<Sigma> sigma,
+                                      std::span<double> delta,
+                                      std::span<double> bc, VertexId u,
+                                      VertexId v, bool removal);
 
 /// Recomputes source s's row from scratch on the device and folds the
 /// dependency differences into `bc`. Shared by the distance-growing removal

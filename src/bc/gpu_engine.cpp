@@ -236,31 +236,15 @@ GpuLaunch GpuEngine::compute(const CSRGraph& g, BcStore& store,
              });
 }
 
-GpuLaunch GpuEngine::insert_edge(const CSRGraph& g, BcStore& store,
-                                 VertexId u, VertexId v,
-                                 std::vector<SourceUpdateOutcome>& outcomes) {
-  return update_edge(/*removal=*/false, g, store, u, v, outcomes);
-}
-
-GpuLaunch GpuEngine::remove_edge(const CSRGraph& g, BcStore& store,
-                                 VertexId u, VertexId v,
-                                 std::vector<SourceUpdateOutcome>& outcomes) {
-  return update_edge(/*removal=*/true, g, store, u, v, outcomes);
-}
-
 GpuLaunch GpuEngine::update_edge(bool removal, const CSRGraph& g,
                                  BcStore& store, VertexId u, VertexId v,
                                  std::vector<SourceUpdateOutcome>& outcomes) {
   const int k = store.num_sources();
   outcomes.assign(static_cast<std::size_t>(k), {});
   ws_.ensure(g.num_vertices());
-  LaunchPlan plan;
-  if (policy_ != nullptr) {
-    plan = removal ? policy_->plan_remove(g, store, u, v)
-                   : policy_->plan_insert(g, store, u, v);
-  }
-  const auto update = removal ? detail::gpu_remove_source_update
-                              : detail::gpu_insert_source_update;
+  const LaunchPlan plan = policy_ != nullptr
+                              ? policy_->plan_update(g, store, u, v, removal)
+                              : LaunchPlan{};
   return run({.kind = removal ? "remove" : "insert",
               .plan = plan,
               .predict =
@@ -271,10 +255,10 @@ GpuLaunch GpuEngine::update_edge(bool removal, const CSRGraph& g,
              k,
              [&](sim::BlockContext& ctx, int si, Parallelism m) -> VertexId {
                auto& o = outcomes[static_cast<std::size_t>(si)];
-               o = update(ctx, ws_, m, g,
-                          store.sources()[static_cast<std::size_t>(si)],
-                          store.dist_row(si), store.sigma_row(si),
-                          store.delta_row(si), store.bc(), u, v);
+               o = detail::gpu_update_source(
+                   ctx, ws_, m, g, store.sources()[static_cast<std::size_t>(si)],
+                   store.dist_row(si), store.sigma_row(si),
+                   store.delta_row(si), store.bc(), u, v, removal);
                return o.touched;
              });
 }
@@ -309,9 +293,9 @@ GpuLaunch GpuEngine::insert_batch(const BatchSnapshots& batch, BcStore& store,
             batch.edges.size(), n, config,
             [&](std::size_t i) {
               const auto [u, v] = batch.edges[i];
-              return detail::gpu_insert_source_update(
+              return detail::gpu_update_source(
                   ctx, ws_, m, batch.graphs[i], s, d, sigma, delta,
-                  store.bc(), u, v);
+                  store.bc(), u, v, /*removal=*/false);
             },
             [&] {
               detail::gpu_recompute_source(ctx, ws_, m, final_g, s, d, sigma,

@@ -128,17 +128,15 @@ class GpuEngine {
   /// `num_blocks` <= 0 is one block per SM; kSharded ignores it.
   GpuLaunch compute(const CSRGraph& g, BcStore& store, int num_blocks = 0);
 
-  /// Insertion of {u, v}: `g` already contains the edge, the store holds
-  /// pre-insertion state. Fills `outcomes` (indexed by source index).
-  GpuLaunch insert_edge(const CSRGraph& g, BcStore& store, VertexId u,
-                        VertexId v, std::vector<SourceUpdateOutcome>& outcomes);
-
-  /// Removal of {u, v}: `g` no longer contains the edge, the store holds
-  /// pre-removal state. Same-level removals are free, adjacent-level ones
-  /// with a surviving parent run the negative-increment Case 2 kernels,
-  /// and distance-growing ones recompute that source's row.
-  GpuLaunch remove_edge(const CSRGraph& g, BcStore& store, VertexId u,
-                        VertexId v, std::vector<SourceUpdateOutcome>& outcomes);
+  /// One edge write, {u, v} inserted or (`removal`) removed: `g` already
+  /// holds the write, the store holds the state before it. Every source
+  /// runs detail::gpu_update_source: same-level writes are free, Case 2
+  /// runs with the write's sign, an insertion's Case 3 repairs distances,
+  /// and a distance-growing removal recomputes that source's row. Fills
+  /// `outcomes` (indexed by source index).
+  GpuLaunch update_edge(bool removal, const CSRGraph& g, BcStore& store,
+                        VertexId u, VertexId v,
+                        std::vector<SourceUpdateOutcome>& outcomes);
 
   /// Fused batch: one (source, batch) job per source replays the batch's
   /// insertions against its row, with the touched-fraction recompute
@@ -188,9 +186,6 @@ class GpuEngine {
   /// kSharded home-queue assignment of k sources under the shard policy
   /// (round-robin ignores `weights`).
   std::vector<int> shard(int k, const std::vector<std::int64_t>& weights) const;
-  GpuLaunch update_edge(bool removal, const CSRGraph& g, BcStore& store,
-                        VertexId u, VertexId v,
-                        std::vector<SourceUpdateOutcome>& outcomes);
 
   std::optional<sim::Device> device_;      // kStrided
   std::optional<sim::DeviceGroup> group_;  // kSharded

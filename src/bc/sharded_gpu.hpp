@@ -55,7 +55,7 @@ class ShardedGpuBc {
   ShardedUpdateResult insert_edge_update(const CSRGraph& g, BcStore& store,
                                          VertexId u, VertexId v) {
     ShardedUpdateResult r;
-    r.launch = core_.insert_edge(g, store, u, v, r.outcomes).group;
+    r.launch = core_.update_edge(/*removal=*/false, g, store, u, v, r.outcomes).group;
     return r;
   }
 
@@ -63,7 +63,7 @@ class ShardedGpuBc {
   ShardedUpdateResult remove_edge_update(const CSRGraph& g, BcStore& store,
                                          VertexId u, VertexId v) {
     ShardedUpdateResult r;
-    r.launch = core_.remove_edge(g, store, u, v, r.outcomes).group;
+    r.launch = core_.update_edge(/*removal=*/true, g, store, u, v, r.outcomes).group;
     return r;
   }
 
