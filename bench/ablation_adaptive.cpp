@@ -87,7 +87,7 @@ WorkloadResult run_workload(const analysis::EdgeStream& stream,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Cli cli(argc, argv);
   const bench::CommonConfig cfg = bench::parse_common(cli);
   bench::warn_unused(cli);
@@ -191,4 +191,6 @@ int main(int argc, char** argv) {
               << " gate violations reported, not fatal at smoke sizes)\n";
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

@@ -14,7 +14,7 @@
 
 using namespace bcdyn;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Cli cli(argc, argv);
   const bench::CommonConfig cfg = bench::parse_common(cli);
   bench::warn_unused(cli);
@@ -91,4 +91,6 @@ int main(int argc, char** argv) {
                "on clustered graphs (many children sharing a predecessor "
                "inside one warp).\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

@@ -13,7 +13,7 @@
 
 using namespace bcdyn;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Cli cli(argc, argv);
   bench::CommonConfig cfg = bench::parse_common(cli);
   bench::warn_unused(cli);
@@ -72,4 +72,6 @@ int main(int argc, char** argv) {
                "(coPap, kron cores) barely fold. Scores must match plain "
                "Brandes to rounding.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

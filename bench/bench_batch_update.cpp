@@ -64,7 +64,7 @@ ModeResult run_mode(const analysis::EdgeStream& stream,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Cli cli(argc, argv);
   bench::CommonConfig cfg = bench::parse_common(cli);
   const int batch_size = static_cast<int>(cli.get_int("batch-size", 16));
@@ -134,4 +134,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -141,6 +142,15 @@ inline void warn_unused(const util::Cli& cli) {
   for (const auto& key : cli.unused_keys()) {
     std::cerr << "warning: unrecognized flag --" << key << "\n";
   }
+}
+
+/// The exit path for a malformed flag value: every bench's main is a
+/// function-try-block that lands here when util::Cli (or a bench's own
+/// flag check) throws std::invalid_argument. Prints a usage error naming
+/// the flag and returns exit code 2.
+inline int usage_error(const std::invalid_argument& e) {
+  std::cerr << "usage error: " << e.what() << "\n";
+  return 2;
 }
 
 /// Checks a count-list flag (lanes, blocks): every entry must be >= 1.

@@ -21,7 +21,7 @@
 
 using namespace bcdyn;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Cli cli(argc, argv);
   bench::CommonConfig cfg = bench::parse_common(cli);
   auto blocks = cli.get_int_list("blocks", {1, 2, 3, 4, 5, 6, 7, 8, 14, 28, 56});
@@ -77,4 +77,6 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected shape: speedup rises until #blocks = #SMs (7 or "
                "14), then plateaus at multiples of the SM count.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

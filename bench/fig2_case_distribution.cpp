@@ -12,7 +12,7 @@
 
 using namespace bcdyn;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Cli cli(argc, argv);
   const bench::CommonConfig cfg = bench::parse_common(cli);
   bench::warn_unused(cli);
@@ -58,4 +58,6 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper (its suite/scale): Case 2 = 37.3% of all scenarios, "
                "73.5% of work-requiring (Case 2+3) scenarios.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

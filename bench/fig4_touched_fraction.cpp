@@ -13,7 +13,7 @@
 
 using namespace bcdyn;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Cli cli(argc, argv);
   const bench::CommonConfig cfg = bench::parse_common(cli);
   bench::warn_unused(cli);
@@ -70,4 +70,6 @@ int main(int argc, char** argv) {
             << util::Table::fmt(100.0 * global_max, 2)
             << "% (paper: 62,844 scenarios, max ~35%, mass near 0).\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

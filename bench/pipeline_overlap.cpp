@@ -83,7 +83,7 @@ PipelineResult run_depth(
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Cli cli(argc, argv);
   // Single-edge ingest wants fewer sources than bench_common's default 32:
   // small kernels keep the chain upload-bound, the regime pipelining
@@ -230,4 +230,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

@@ -21,7 +21,7 @@
 
 using namespace bcdyn;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Cli cli(argc, argv);
   bench::CommonConfig cfg = bench::parse_common(cli);
   const auto lane_counts = cli.get_int_list("lanes", {1, 2, 4, 8, 16});
@@ -110,4 +110,6 @@ int main(int argc, char** argv) {
                "work-requiring sources; sub-linear beyond that as the "
                "slowest chunk dominates (source-level load imbalance).\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

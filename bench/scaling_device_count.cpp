@@ -57,7 +57,7 @@ ShardPolicy parse_policy(const std::string& name) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Cli cli(argc, argv);
   bench::CommonConfig cfg = bench::parse_common(cli);
   const auto device_counts = cli.get_int_list("devices", {1, 2, 4, 8});
@@ -139,4 +139,6 @@ int main(int argc, char** argv) {
                "per-update critical path (slowest single source) plus the "
                "steal overhead on the last wave.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

@@ -10,7 +10,7 @@
 
 using namespace bcdyn;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Cli cli(argc, argv);
   bench::CommonConfig cfg = bench::parse_common(cli);
   const auto sm_counts = cli.get_int_list("sms", {7, 14, 28, 56, 112});
@@ -63,4 +63,6 @@ int main(int argc, char** argv) {
                "work-requiring sources per insertion, then saturating at "
                "the per-insertion critical path (slowest single source).\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

@@ -148,7 +148,7 @@ std::vector<int> parse_depths(const std::string& spec) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Cli cli(argc, argv);
   // Serving streams want fewer sources than bench_common's default 32:
   // single-edge commits at the baseline depth keep the engine in the
@@ -263,4 +263,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

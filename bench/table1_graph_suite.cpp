@@ -35,7 +35,7 @@ const PaperRow* paper_row(const std::string& name) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Cli cli(argc, argv);
   const bench::CommonConfig cfg = bench::parse_common(cli);
   bench::warn_unused(cli);
@@ -72,4 +72,6 @@ int main(int argc, char** argv) {
                "--scale >= 8 and correspondingly long runs), or pass real "
                "DIMACS-10 downloads via --graph-file.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

@@ -13,7 +13,7 @@
 
 using namespace bcdyn;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Cli cli(argc, argv);
   const bench::CommonConfig cfg = bench::parse_common(cli);
   bench::warn_unused(cli);
@@ -88,4 +88,6 @@ int main(int argc, char** argv) {
   std::cout << "Paper shape: node >> edge >> 1x; edge collapses toward ~1x "
                "on del/kron, node reaches 20-110x.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

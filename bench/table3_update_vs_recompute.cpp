@@ -12,7 +12,7 @@
 
 using namespace bcdyn;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Cli cli(argc, argv);
   const bench::CommonConfig cfg = bench::parse_common(cli);
   // The paper's recomputation baseline is the static implementation of Jia
@@ -92,4 +92,6 @@ int main(int argc, char** argv) {
                "fastest (all-Case-1) updates are orders of magnitude "
                "faster.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::usage_error(e);
 }

@@ -1,55 +1,14 @@
 #include "trace/chrome_trace.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <ostream>
 #include <set>
 #include <sstream>
 
+#include "trace/json.hpp"
+
 namespace bcdyn::trace {
 
 namespace {
-
-std::string json_quote(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  for (int prec = 1; prec < 17; ++prec) {
-    char tight[64];
-    std::snprintf(tight, sizeof(tight), "%.*g", prec, v);
-    if (std::strtod(tight, nullptr) == v) return tight;
-  }
-  return buf;
-}
 
 const char* phase_code(TraceEvent::Phase phase) {
   switch (phase) {
@@ -71,7 +30,7 @@ void write_args(std::ostream& out, const std::vector<TraceArg>& args) {
   out << "\"args\":{";
   for (std::size_t i = 0; i < args.size(); ++i) {
     out << (i ? "," : "") << json_quote(args[i].key) << ":"
-        << fmt_double(args[i].value);
+        << json_number(args[i].value);
   }
   out << "}";
 }
@@ -137,9 +96,9 @@ void write_chrome_trace(const Tracer& tracer, std::ostream& out) {
   for (const auto& ev : events) {
     out << (first ? "\n" : ",\n") << "  {\"ph\":\"" << phase_code(ev.phase)
         << "\",\"pid\":" << ev.pid << ",\"tid\":" << ev.tid
-        << ",\"ts\":" << fmt_double(ev.ts_us);
+        << ",\"ts\":" << json_number(ev.ts_us);
     if (ev.phase == TraceEvent::Phase::kComplete) {
-      out << ",\"dur\":" << fmt_double(ev.dur_us);
+      out << ",\"dur\":" << json_number(ev.dur_us);
     }
     if (ev.phase != TraceEvent::Phase::kEnd) {
       out << ",\"name\":" << json_quote(ev.name);

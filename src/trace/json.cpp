@@ -1,6 +1,7 @@
 #include "trace/json.hpp"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
 namespace bcdyn::trace {
@@ -262,6 +263,48 @@ class Parser {
 
 JsonParseResult parse_json(std::string_view text) {
   return Parser(text).run();
+}
+
+std::string json_number(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  // Prefer a shorter form when it round-trips exactly.
+  for (int prec = 1; prec < 17; ++prec) {
+    char tight[64];
+    std::snprintf(tight, sizeof(tight), "%.*g", prec, v);
+    if (std::strtod(tight, nullptr) == v) return tight;
+  }
+  return buf;
+}
+
+std::string json_quote(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
 }
 
 }  // namespace bcdyn::trace

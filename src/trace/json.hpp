@@ -1,6 +1,8 @@
-// Minimal JSON parser used to validate and round-trip the trace/metrics
-// exporters' output (tests and `bcdyn_trace --selftest`). Strict enough to
-// reject malformed exporter output: full UTF-8 passthrough, \uXXXX escapes
+// JSON for the trace/metrics exporters: the two writer helpers every
+// exporter formats with (metrics, Chrome trace, stream telemetry), and a
+// minimal parser used to validate and round-trip their output (tests and
+// `bcdyn_trace --selftest`). The parser is strict enough to reject
+// malformed exporter output: full UTF-8 passthrough, \uXXXX escapes
 // validated, no trailing garbage, no trailing commas.
 #pragma once
 
@@ -41,5 +43,13 @@ struct JsonParseResult {
 };
 
 JsonParseResult parse_json(std::string_view text);
+
+/// Shortest round-trippable formatting of a double (JSON has no inf/nan;
+/// the exporters never store those).
+std::string json_number(double v);
+
+/// `s` as a JSON string literal: quotes, backslashes and control
+/// characters escaped, every other byte (UTF-8 included) passed through.
+std::string json_quote(const std::string& s);
 
 }  // namespace bcdyn::trace

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <ostream>
+
+#include "trace/json.hpp"
 
 namespace bcdyn::trace {
 
@@ -14,50 +14,6 @@ std::size_t bucket_index(double value) {
   if (!(value >= 1.0)) return 0;
   const auto idx = 1 + static_cast<std::size_t>(std::floor(std::log2(value)));
   return std::min(idx, HistogramSnapshot::kBuckets - 1);
-}
-
-/// Shortest round-trippable formatting for a double (JSON has no inf/nan;
-/// callers never store those).
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Prefer a shorter form when it round-trips exactly.
-  for (int prec = 1; prec < 17; ++prec) {
-    char tight[64];
-    std::snprintf(tight, sizeof(tight), "%.*g", prec, v);
-    if (std::strtod(tight, nullptr) == v) return tight;
-  }
-  return buf;
-}
-
-std::string json_quote(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
 }
 
 }  // namespace
@@ -177,17 +133,17 @@ void MetricsRegistry::write_json(std::ostream& out) const {
   first = true;
   for (const auto& [name, value] : gauges) {
     out << (first ? "\n" : ",\n") << "    " << json_quote(name) << ": "
-        << fmt_double(value);
+        << json_number(value);
     first = false;
   }
   out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
   first = true;
   for (const auto& [name, h] : histograms) {
     out << (first ? "\n" : ",\n") << "    " << json_quote(name) << ": {"
-        << "\"count\": " << h.count << ", \"sum\": " << fmt_double(h.sum)
-        << ", \"min\": " << fmt_double(h.count ? h.min : 0.0)
-        << ", \"max\": " << fmt_double(h.count ? h.max : 0.0)
-        << ", \"mean\": " << fmt_double(h.mean()) << ", \"buckets\": [";
+        << "\"count\": " << h.count << ", \"sum\": " << json_number(h.sum)
+        << ", \"min\": " << json_number(h.count ? h.min : 0.0)
+        << ", \"max\": " << json_number(h.count ? h.max : 0.0)
+        << ", \"mean\": " << json_number(h.mean()) << ", \"buckets\": [";
     // Trim trailing zero buckets to keep the export compact.
     std::size_t last = 0;
     for (std::size_t i = 0; i < h.buckets.size(); ++i) {

@@ -2,28 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <ostream>
 #include <sstream>
 
+#include "trace/json.hpp"
+
 namespace bcdyn::trace {
 
 namespace {
-
-/// Shortest round-trippable formatting for a double (same contract as the
-/// metrics exporter: JSON has no inf/nan and telemetry never stores them).
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  for (int prec = 1; prec < 17; ++prec) {
-    char tight[64];
-    std::snprintf(tight, sizeof(tight), "%.*g", prec, v);
-    if (std::strtod(tight, nullptr) == v) return tight;
-  }
-  return buf;
-}
 
 void observe_us(HistogramSnapshot& h, double seconds) {
   const double us = seconds * 1e6;
@@ -45,10 +32,10 @@ void observe_us(HistogramSnapshot& h, double seconds) {
 }
 
 void write_histogram_json(std::ostream& out, const HistogramSnapshot& h) {
-  out << "{\"count\": " << h.count << ", \"sum\": " << fmt_double(h.sum)
-      << ", \"min\": " << fmt_double(h.count ? h.min : 0.0)
-      << ", \"max\": " << fmt_double(h.count ? h.max : 0.0)
-      << ", \"mean\": " << fmt_double(h.mean()) << ", \"buckets\": [";
+  out << "{\"count\": " << h.count << ", \"sum\": " << json_number(h.sum)
+      << ", \"min\": " << json_number(h.count ? h.min : 0.0)
+      << ", \"max\": " << json_number(h.count ? h.max : 0.0)
+      << ", \"mean\": " << json_number(h.mean()) << ", \"buckets\": [";
   std::size_t last = 0;
   for (std::size_t i = 0; i < h.buckets.size(); ++i) {
     if (h.buckets[i] != 0) last = i + 1;
@@ -105,12 +92,12 @@ std::string AnomalyEvent::to_jsonl() const {
       << ", \"case1\": " << sample.case1 << ", \"case2\": " << sample.case2
       << ", \"case3\": " << sample.case3
       << ", \"recomputed_sources\": " << sample.recomputed_sources
-      << ", \"touched_fraction\": " << fmt_double(sample.touched_fraction)
-      << ", \"latency_seconds\": " << fmt_double(sample.modeled_seconds)
-      << ", \"median_seconds\": " << fmt_double(median_seconds)
-      << ", \"ewma_seconds\": " << fmt_double(ewma_seconds)
-      << ", \"window_p99_seconds\": " << fmt_double(window_p99)
-      << ", \"threshold_seconds\": " << fmt_double(threshold_seconds) << "}";
+      << ", \"touched_fraction\": " << json_number(sample.touched_fraction)
+      << ", \"latency_seconds\": " << json_number(sample.modeled_seconds)
+      << ", \"median_seconds\": " << json_number(median_seconds)
+      << ", \"ewma_seconds\": " << json_number(ewma_seconds)
+      << ", \"window_p99_seconds\": " << json_number(window_p99)
+      << ", \"threshold_seconds\": " << json_number(threshold_seconds) << "}";
   return out.str();
 }
 
@@ -372,26 +359,26 @@ void StreamTelemetry::write_json_snapshot(std::ostream& out) const {
   const TelemetrySnapshot snap = snapshot();
   out << "{\n  \"config\": {"
       << "\"window\": " << snap.config.window
-      << ", \"slo_p99_seconds\": " << fmt_double(snap.config.slo_p99_seconds)
-      << ", \"spike_factor\": " << fmt_double(snap.config.spike_factor)
-      << ", \"ewma_alpha\": " << fmt_double(snap.config.ewma_alpha)
+      << ", \"slo_p99_seconds\": " << json_number(snap.config.slo_p99_seconds)
+      << ", \"spike_factor\": " << json_number(snap.config.spike_factor)
+      << ", \"ewma_alpha\": " << json_number(snap.config.ewma_alpha)
       << ", \"min_history\": " << snap.config.min_history << "},\n"
       << "  \"totals\": {\"updates\": " << snap.updates
       << ", \"spikes\": " << snap.spikes
       << ", \"slo_breaches\": " << snap.slo_breaches
       << ", \"slo_violated\": " << (snap.slo_violated ? "true" : "false")
-      << ", \"ewma_seconds\": " << fmt_double(snap.ewma_seconds) << "},\n"
+      << ", \"ewma_seconds\": " << json_number(snap.ewma_seconds) << "},\n"
       << "  \"series\": {";
   bool first = true;
   for (const auto& [key, s] : snap.series) {
     out << (first ? "\n" : ",\n") << "    \"" << key << "\": {"
         << "\"total\": " << s.total
         << ", \"window_count\": " << s.window_count
-        << ", \"p50_seconds\": " << fmt_double(s.p50)
-        << ", \"p90_seconds\": " << fmt_double(s.p90)
-        << ", \"p99_seconds\": " << fmt_double(s.p99)
-        << ", \"max_seconds\": " << fmt_double(s.max)
-        << ", \"mean_seconds\": " << fmt_double(s.mean)
+        << ", \"p50_seconds\": " << json_number(s.p50)
+        << ", \"p90_seconds\": " << json_number(s.p90)
+        << ", \"p99_seconds\": " << json_number(s.p99)
+        << ", \"max_seconds\": " << json_number(s.max)
+        << ", \"mean_seconds\": " << json_number(s.mean)
         << ", \"cumulative_us\": ";
     write_histogram_json(out, s.cumulative_us);
     out << "}";
@@ -417,7 +404,7 @@ void StreamTelemetry::write_prometheus(std::ostream& out) const {
   if (snap.config.slo_p99_seconds > 0.0) {
     out << "# TYPE bcdyn_telemetry_slo_p99_budget_seconds gauge\n"
         << "bcdyn_telemetry_slo_p99_budget_seconds "
-        << fmt_double(snap.config.slo_p99_seconds) << "\n"
+        << json_number(snap.config.slo_p99_seconds) << "\n"
         << "# TYPE bcdyn_telemetry_slo_violated gauge\n"
         << "bcdyn_telemetry_slo_violated " << (snap.slo_violated ? 1 : 0)
         << "\n";
@@ -435,7 +422,7 @@ void StreamTelemetry::write_prometheus(std::ostream& out) const {
     } rows[] = {{"0.5", s.p50}, {"0.9", s.p90}, {"0.99", s.p99}, {"1", s.max}};
     for (const auto& row : rows) {
       out << "bcdyn_telemetry_update_latency_seconds{" << labels
-          << ",quantile=\"" << row.q << "\"} " << fmt_double(row.v) << "\n";
+          << ",quantile=\"" << row.q << "\"} " << json_number(row.v) << "\n";
     }
     out << "bcdyn_telemetry_update_latency_seconds_count{" << labels << "} "
         << s.window_count << "\n";

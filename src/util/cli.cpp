@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <ostream>
@@ -13,6 +14,30 @@ std::string fmt_double(double value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%g", value);
   return buf;
+}
+
+/// Parses all of `text` as a base-10 integer or throws naming the flag and
+/// the text: "2x", "abc", "" and out-of-range values are errors.
+std::int64_t parse_int(const std::string& key, const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE) {
+    throw std::invalid_argument("--" + key + ": expected an integer, got '" +
+                                text + "'");
+  }
+  return value;
+}
+
+double parse_double(const std::string& key, const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || errno == ERANGE) {
+    throw std::invalid_argument("--" + key + ": expected a number, got '" +
+                                text + "'");
+  }
+  return value;
 }
 
 }  // namespace
@@ -61,7 +86,7 @@ std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback,
   register_help(key, std::to_string(fallback), help);
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  return parse_int(key, it->second);
 }
 
 double Cli::get_double(const std::string& key, double fallback,
@@ -70,7 +95,7 @@ double Cli::get_double(const std::string& key, double fallback,
   register_help(key, fmt_double(fallback), help);
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  return parse_double(key, it->second);
 }
 
 bool Cli::get_bool(const std::string& key, bool fallback,
@@ -102,7 +127,7 @@ std::vector<std::int64_t> Cli::get_int_list(const std::string& key,
   while (pos < s.size()) {
     auto comma = s.find(',', pos);
     if (comma == std::string::npos) comma = s.size();
-    out.push_back(std::strtoll(s.substr(pos, comma - pos).c_str(), nullptr, 10));
+    out.push_back(parse_int(key, s.substr(pos, comma - pos)));
     pos = comma + 1;
   }
   return out;

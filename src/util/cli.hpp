@@ -30,7 +30,9 @@ class Cli {
 
   /// Getters mark the key as read (for unused_keys) and, when `help` is
   /// non-empty, register the flag for print_help with the fallback shown
-  /// as its default.
+  /// as its default. The numeric getters parse the whole value (each list
+  /// entry) and throw std::invalid_argument naming the flag and the text
+  /// when it is not a number: --lanes=2x is an error, not 2 lanes.
   std::string get(const std::string& key, const std::string& fallback,
                   std::string_view help = {}) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback,

@@ -138,6 +138,41 @@ TEST(Cli, RejectsMalformedAndTracksUnused) {
   EXPECT_EQ(unused[0], "typo");
 }
 
+/// The message of the std::invalid_argument that `f` throws ("" if none).
+template <typename F>
+std::string invalid_argument_text(F&& f) {
+  try {
+    f();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cli, RejectsNumbersWithTrailingOrNoDigits) {
+  const char* argv[] = {"prog",        "--lanes=2x",   "--blocks=abc",
+                        "--sms=4,8y",  "--scale=0.5s", "--seed=",
+                        "--rate=abc",  "--k=-3",       "--ks=1,-2",
+                        "--big=99999999999999999999"};
+  Cli cli(10, argv);
+  EXPECT_EQ(invalid_argument_text([&] { cli.get_int_list("lanes", {}); }),
+            "--lanes: expected an integer, got '2x'");
+  EXPECT_EQ(invalid_argument_text([&] { cli.get_int_list("blocks", {}); }),
+            "--blocks: expected an integer, got 'abc'");
+  EXPECT_EQ(invalid_argument_text([&] { cli.get_int_list("sms", {}); }),
+            "--sms: expected an integer, got '8y'");
+  EXPECT_EQ(invalid_argument_text([&] { cli.get_double("scale", 1.0); }),
+            "--scale: expected a number, got '0.5s'");
+  EXPECT_EQ(invalid_argument_text([&] { cli.get_int("seed", 7); }),
+            "--seed: expected an integer, got ''");
+  EXPECT_EQ(invalid_argument_text([&] { cli.get_double("rate", 1.0); }),
+            "--rate: expected a number, got 'abc'");
+  EXPECT_THROW(cli.get_int("big", 0), std::invalid_argument);
+  // Signs are numbers; range checks belong to the caller.
+  EXPECT_EQ(cli.get_int("k", 0), -3);
+  EXPECT_EQ(cli.get_int_list("ks", {}), (std::vector<std::int64_t>{1, -2}));
+}
+
 TEST(Stopwatch, MeasuresElapsed) {
   Stopwatch sw;
   double sink = 0.0;
