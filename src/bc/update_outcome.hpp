@@ -15,9 +15,10 @@
 namespace bcdyn {
 
 struct UpdateOutcome {
-  /// Edges actually applied to the graph: 0 or 1 for single-edge
-  /// operations (usable as a bool), the applied count for insert_edges and
-  /// batch updates.
+  /// Writes actually applied to the graph, insertions and removals alike:
+  /// 0 or 1 for single-edge operations (usable as a bool; an applied
+  /// remove_edge reports 1), the applied count for insert_edges and batch
+  /// updates.
   int inserted = 0;
   int skipped = 0;  // batch only: rejected entries (dupes, self loops, ...)
 

@@ -83,5 +83,47 @@ TEST(CaseClassify, ExhaustiveAgainstBfsDistances) {
   }
 }
 
+TEST(CaseClassify, RemovalAgainstBfsDistances) {
+  // For every edge and every source, a removal is Case 1 on one level,
+  // Case 2 when u_low keeps its distance (another parent survives) and
+  // Case 3 when it grows - judged by BFS on the graph without the edge.
+  const auto g = test::gnp_graph(25, 0.15, 78);
+  int seen[4] = {};
+  for (VertexId s = 0; s < g.num_vertices(); ++s) {
+    const auto dist = bfs_distances(g, s);
+    for (const auto& [u, v] : g.to_coo().edges) {
+      const CSRGraph without = g.without_edge(u, v);
+      std::size_t scanned = 99;
+      const auto info = classify_removal(without, dist, u, v, &scanned);
+      ++seen[static_cast<int>(info.update_case)];
+      const Dist du = dist[static_cast<std::size_t>(u)];
+      const Dist dv = dist[static_cast<std::size_t>(v)];
+      if (du == dv) {
+        EXPECT_EQ(info.update_case, UpdateCase::kNoWork);
+        EXPECT_EQ(scanned, 0u);
+        continue;
+      }
+      EXPECT_EQ(info.u_high, du < dv ? u : v);
+      EXPECT_EQ(info.u_low, du < dv ? v : u);
+      const auto lo = static_cast<std::size_t>(info.u_low);
+      const bool grows = bfs_distances(without, s)[lo] != dist[lo];
+      EXPECT_EQ(info.update_case,
+                grows ? UpdateCase::kFar : UpdateCase::kAdjacent);
+      // The parent search reads neighbors up to the first surviving
+      // parent, or all of them when there is none.
+      const std::size_t degree = without.neighbors(info.u_low).size();
+      if (grows) {
+        EXPECT_EQ(scanned, degree);
+      } else {
+        EXPECT_GE(scanned, 1u);
+        EXPECT_LE(scanned, degree);
+      }
+    }
+  }
+  EXPECT_GT(seen[1], 0);
+  EXPECT_GT(seen[2], 0);
+  EXPECT_GT(seen[3], 0);
+}
+
 }  // namespace
 }  // namespace bcdyn
