@@ -8,6 +8,7 @@
 // analytic over a file-loaded graph.
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 
 #include "bc/api.hpp"
@@ -18,7 +19,7 @@
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bcdyn;
   util::Cli cli(argc, argv);
   std::string path = cli.get("file", "");
@@ -75,4 +76,7 @@ int main(int argc, char** argv) {
   std::printf("\nintegrity check vs full recompute: max |diff| = %.2e\n",
               analytic.verify_against_recompute());
   return 0;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "usage error: %s\n", e.what());
+  return 2;
 }

@@ -9,6 +9,7 @@
 // restore), and interpreting BC deltas as load shift.
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 #include <vector>
 
 #include "bc/api.hpp"
@@ -16,7 +17,7 @@
 #include "util/rng.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bcdyn;
   util::Cli cli(argc, argv);
   const auto rows = static_cast<VertexId>(cli.get_int("rows", 40));
@@ -84,4 +85,7 @@ int main(int argc, char** argv) {
   std::printf("\nmax |bc - baseline| after all restores: %.2e %s\n", worst,
               worst < 1e-6 ? "(restored exactly)" : "");
   return 0;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "usage error: %s\n", e.what());
+  return 2;
 }

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "bc/api.hpp"
@@ -14,7 +15,7 @@
 #include "util/rng.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bcdyn;
   util::Cli cli(argc, argv);
   const auto routers = static_cast<VertexId>(cli.get_int("routers", 3000));
@@ -82,4 +83,7 @@ int main(int argc, char** argv) {
     std::printf("  router %5d  bc=%.0f\n", v, score);
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "usage error: %s\n", e.what());
+  return 2;
 }

@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,7 +30,7 @@
 #include "util/rng.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bcdyn;
   util::Cli cli(argc, argv);
   const auto users = static_cast<VertexId>(
@@ -143,4 +144,7 @@ int main(int argc, char** argv) {
     std::printf("  user %6d  bc=%.1f\n", v, score);
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  std::fprintf(stderr, "usage error: %s\n", e.what());
+  return 2;
 }
