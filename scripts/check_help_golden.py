@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Guards the CLI --help contract: tool output vs a committed golden file.
+"""Guards CLI output contracts: tool output vs a committed golden file.
 
 Every tool, example, and bench front-end parses its flags through
 util::Cli, which collects each flag's default and help string at
@@ -16,12 +16,23 @@ default test run until the golden is updated deliberately:
 
     python3 scripts/check_help_golden.py --binary build/tools/bcdyn_trace \
         --golden tests/golden/bcdyn_trace_help.txt --update
+
+With --output the script instead runs `<binary> <args...>` in a fresh
+temporary directory and compares the file the run writes there (say, the
+metrics JSON of a fixed scenario), which pins deterministic artifacts
+byte-for-byte:
+
+    python3 scripts/check_help_golden.py --binary build/tools/bcdyn_serve \
+        --golden tests/golden/bcdyn_serve_metrics.json \
+        --output metrics.json -- --metrics=metrics.json
 """
 
 import argparse
 import difflib
+import os
 import subprocess
 import sys
+import tempfile
 
 
 def main():
@@ -33,15 +44,34 @@ def main():
     parser.add_argument("--update", action="store_true",
                         help="rewrite the golden from the binary's current "
                              "output instead of checking against it")
+    parser.add_argument("--output",
+                        help="run the binary with the trailing arguments "
+                             "in a temporary directory and compare this "
+                             "file (relative to it) instead of --help")
+    parser.add_argument("tool_args", nargs="*",
+                        help="arguments for the --output run (after --)")
     args = parser.parse_args()
 
-    proc = subprocess.run([args.binary, "--help"], capture_output=True,
-                          text=True, timeout=120)
-    if proc.returncode != 0:
-        print(f"error: {args.binary} --help exited {proc.returncode}:\n"
-              f"{proc.stderr}", file=sys.stderr)
-        return 1
-    actual = proc.stdout
+    with tempfile.TemporaryDirectory() as workdir:
+        command = [os.path.abspath(args.binary)]
+        command += args.tool_args if args.output else ["--help"]
+        what = " ".join([args.binary] + command[1:])
+        proc = subprocess.run(command, capture_output=True, text=True,
+                              timeout=120, cwd=workdir)
+        if proc.returncode != 0:
+            print(f"error: {what} exited {proc.returncode}:\n"
+                  f"{proc.stderr}", file=sys.stderr)
+            return 1
+        if args.output:
+            try:
+                with open(os.path.join(workdir, args.output)) as f:
+                    actual = f.read()
+            except OSError as e:
+                print(f"error: {what} did not write {args.output} ({e})",
+                      file=sys.stderr)
+                return 1
+        else:
+            actual = proc.stdout
 
     if args.update:
         with open(args.golden, "w") as f:
@@ -58,16 +88,15 @@ def main():
         return 1
 
     if actual == expected:
-        print(f"ok: {args.binary} --help matches {args.golden}")
+        print(f"ok: {what} matches {args.golden}")
         return 0
 
     diff = difflib.unified_diff(expected.splitlines(keepends=True),
                                 actual.splitlines(keepends=True),
-                                fromfile=args.golden,
-                                tofile=f"{args.binary} --help")
+                                fromfile=args.golden, tofile=what)
     sys.stderr.writelines(diff)
-    print(f"error: --help output changed (flag surface is an API; update "
-          f"the golden deliberately with --update)", file=sys.stderr)
+    print(f"error: output of {what} changed (it is a pinned contract; "
+          f"update the golden deliberately with --update)", file=sys.stderr)
     return 1
 
 
