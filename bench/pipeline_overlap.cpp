@@ -34,7 +34,7 @@
 #include "bc/dynamic_bc.hpp"
 #include "bc/pipeline.hpp"
 #include "bench_common.hpp"
-#include "gpusim/fault_injector.hpp"
+#include "gpusim/runtime.hpp"
 #include "util/rng.hpp"
 
 using namespace bcdyn;
@@ -190,12 +190,13 @@ int main(int argc, char** argv) try {
     const std::uint64_t injected0 = m.counter_value("sim.fault.injected.count");
     const std::uint64_t retries0 = m.counter_value("bc.fault.retries.count");
     const std::uint64_t recovered0 = m.counter_value("bc.fault.recovered.count");
-    sim::faults().configure(plan);
-    sim::faults().set_enabled(true);
+    auto& injector = sim::Runtime::process().faults;
+    injector.configure(plan);
+    injector.set_enabled(true);
     const PipelineResult faulted = run_depth(
         entry, approx, engine, devices, stream, depth, config,
         &faulted_scores, {.max_retries = 8, .fallback_recompute = false});
-    sim::faults().set_enabled(false);
+    injector.set_enabled(false);
     fault_match =
         analysis::max_abs_diff(clean_scores, faulted_scores) == 0.0;
     m.set_gauge("pipeline_overlap.fault.injected",

@@ -68,8 +68,9 @@ const char* to_string(LaunchKind kind) {
 
 ParallelismPolicy::ParallelismPolicy(const AdaptiveConfig& config,
                                      const sim::DeviceSpec& spec,
-                                     const sim::CostModel& cost)
-    : config_(config), spec_(spec), cost_(cost) {}
+                                     const sim::CostModel& cost,
+                                     sim::Runtime& runtime)
+    : config_(config), spec_(spec), cost_(cost), runtime_(runtime) {}
 
 const GraphFeatures& ParallelismPolicy::graph_features(const CSRGraph& g,
                                                        VertexId sample_source) {
@@ -383,7 +384,7 @@ Parallelism ParallelismPolicy::decide(const DecisionFeatures& f) {
     ++node_decisions_;
   }
   if (rec.explored) ++explored_;
-  auto& reg = trace::metrics();
+  auto& reg = runtime_.metrics;
   reg.add("bc.adaptive.decisions.count");
   reg.add(rec.mode == Parallelism::kEdge ? "bc.adaptive.edge.count"
                                          : "bc.adaptive.node.count");
@@ -420,7 +421,7 @@ void ParallelismPolicy::feedback(const DecisionFeatures& f, Parallelism mode,
     scale = clamp_rate(scale);
     touched_samples_[kind] += 1.0;
   }
-  auto& reg = trace::metrics();
+  auto& reg = runtime_.metrics;
   reg.add("bc.adaptive.feedback.count");
   const double est = estimate_cycles(f, mode);
   if (est > 0.0) reg.observe("bc.adaptive.est_ratio", est / cycles);
@@ -443,7 +444,7 @@ LaunchPlan ParallelismPolicy::plan_static(const CSRGraph& g,
   const int k = store.num_sources();
   LaunchPlan plan = make_plan(k);
   if (k == 0) return plan;
-  trace::Span span("bc.adaptive.plan", "bc",
+  trace::Span span(runtime_.tracer, "bc.adaptive.plan", "bc",
                    {{"sources", static_cast<double>(k)}});
   const GraphFeatures& gf = graph_features(g, store.sources()[0]);
   for (int si = 0; si < k; ++si) {
@@ -461,7 +462,7 @@ LaunchPlan ParallelismPolicy::plan_update(const CSRGraph& g,
   const int k = store.num_sources();
   LaunchPlan plan = make_plan(k);
   if (k == 0) return plan;
-  trace::Span span("bc.adaptive.plan", "bc",
+  trace::Span span(runtime_.tracer, "bc.adaptive.plan", "bc",
                    {{"sources", static_cast<double>(k)}});
   const GraphFeatures& gf = graph_features(g, store.sources()[0]);
   for (int si = 0; si < k; ++si) {
@@ -489,7 +490,7 @@ LaunchPlan ParallelismPolicy::plan_batch(const CSRGraph& g,
   const int k = store.num_sources();
   LaunchPlan plan = make_plan(k);
   if (k == 0 || batch.empty()) return plan;
-  trace::Span span("bc.adaptive.plan", "bc",
+  trace::Span span(runtime_.tracer, "bc.adaptive.plan", "bc",
                    {{"sources", static_cast<double>(k)},
                     {"edges", static_cast<double>(batch.edges.size())}});
   const GraphFeatures& gf = graph_features(g, store.sources()[0]);

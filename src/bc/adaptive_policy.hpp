@@ -30,6 +30,7 @@
 #include "bc/gpu_engine.hpp"
 #include "gpusim/cost_model.hpp"
 #include "gpusim/device_spec.hpp"
+#include "gpusim/runtime.hpp"
 #include "graph/csr_graph.hpp"
 #include "util/types.hpp"
 
@@ -138,10 +139,12 @@ struct LaunchPlan {
 
 class ParallelismPolicy {
  public:
+  /// Records its bc.adaptive.* metrics and plan spans into `runtime`.
   explicit ParallelismPolicy(
       const AdaptiveConfig& config = {},
       const sim::DeviceSpec& spec = sim::DeviceSpec::tesla_c2075(),
-      const sim::CostModel& cost = {});
+      const sim::CostModel& cost = {},
+      sim::Runtime& runtime = sim::Runtime::process());
 
   /// Refreshes and returns the cached per-graph features. Degree stats are
   /// recomputed whenever (n, arcs) changes; the planning BFS re-runs when
@@ -239,6 +242,7 @@ class ParallelismPolicy {
   AdaptiveConfig config_;
   sim::DeviceSpec spec_;
   sim::CostModel cost_;
+  sim::Runtime& runtime_;
 
   // Per-graph feature cache.
   GraphFeatures graph_;

@@ -83,7 +83,7 @@ CpuBatchResult batch_insert_update(DynamicCpuEngine& engine,
     auto sigma = store.sigma_row(si);
     auto delta = store.delta_row(si);
     result.outcomes[static_cast<std::size_t>(si)] = detail::run_source_batch(
-        batch.edges.size(), n, config,
+        engine.runtime().metrics, batch.edges.size(), n, config,
         [&](std::size_t i) {
           const auto [u, v] = batch.edges[i];
           return engine.update_source(batch.graphs[i], s, d, sigma, delta,
@@ -159,7 +159,7 @@ UpdateOutcome DynamicBc::insert_edge_batch(
     throw std::logic_error(
         "DynamicBc::compute() must run before insert_edge_batch");
   }
-  trace::Span span("bc.insert_edge_batch", "bc",
+  trace::Span span(runtime_.tracer, "bc.insert_edge_batch", "bc",
                    {{"edges", static_cast<double>(edges.size())},
                     {"threshold", config.recompute_threshold}});
   UpdateOutcome outcome;

@@ -112,10 +112,11 @@ std::int64_t batch_job_weight(std::span<const Dist> dist,
 /// the cumulative touched fraction crosses the threshold with edges still
 /// pending, calls `recompute()` once and stops. Being the single funnel
 /// for every engine's batch jobs, this is also where the batch.* metrics
-/// are recorded (batch.touched_fraction is cumulative over the job's
-/// edges, so samples above 1.0 are legitimate).
+/// are recorded into `reg` (batch.touched_fraction is cumulative over the
+/// job's edges, so samples above 1.0 are legitimate).
 template <typename UpdateFn, typename RecomputeFn>
-SourceBatchOutcome run_source_batch(std::size_t num_edges, VertexId n,
+SourceBatchOutcome run_source_batch(trace::MetricsRegistry& reg,
+                                    std::size_t num_edges, VertexId n,
                                     const BatchConfig& config,
                                     UpdateFn&& update,
                                     RecomputeFn&& recompute) {
@@ -144,7 +145,6 @@ SourceBatchOutcome run_source_batch(std::size_t num_edges, VertexId n,
       break;
     }
   }
-  auto& reg = trace::metrics();
   reg.add("batch.jobs.count");
   if (out.recomputed) reg.add("batch.fallback_recompute.count");
   reg.observe("batch.touched_fraction",

@@ -63,16 +63,19 @@ EngineKind parse_engine_flag(std::string_view flag) {
                               "' (want cpu|gpu-edge|gpu-node|gpu-adaptive)");
 }
 
-DynamicBc::DynamicBc(const CSRGraph& g, const Options& options)
+DynamicBc::DynamicBc(const CSRGraph& g, const Options& options,
+                     sim::Runtime& runtime)
     : csr_(g),
       store_(g.num_vertices(), options.approx),
-      options_(options) {
+      options_(options),
+      runtime_(runtime) {
   if (options_.num_devices < 1) {
     throw std::invalid_argument("DynamicBc: num_devices must be >= 1");
   }
   switch (options_.engine) {
     case EngineKind::kCpu:
-      cpu_engine_ = std::make_unique<DynamicCpuEngine>(g.num_vertices());
+      cpu_engine_ = std::make_unique<DynamicCpuEngine>(g.num_vertices(),
+                                                       runtime_);
       break;
     case EngineKind::kGpuEdge:
     case EngineKind::kGpuNode:
@@ -86,10 +89,10 @@ DynamicBc::DynamicBc(const CSRGraph& g, const Options& options)
       gpu_ = std::make_unique<GpuEngine>(
           GpuEngine::schedule_for(options_.num_devices), options_.num_devices,
           options_.device_spec, mode, cost_model_,
-          options_.track_atomic_conflicts, options_.shard_policy);
+          options_.track_atomic_conflicts, options_.shard_policy, runtime_);
       if (options_.engine == EngineKind::kGpuAdaptive) {
         policy_ = std::make_unique<ParallelismPolicy>(
-            options_.adaptive, options_.device_spec, cost_model_);
+            options_.adaptive, options_.device_spec, cost_model_, runtime_);
         gpu_->set_policy(policy_.get());
       }
       break;
@@ -103,7 +106,7 @@ int DynamicBc::num_devices() const {
 
 void DynamicBc::record_telemetry(trace::UpdateKind kind,
                                  const UpdateOutcome& outcome) const {
-  auto& stream = trace::telemetry();
+  auto& stream = runtime_.telemetry;
   if (!stream.enabled()) return;
   trace::UpdateSample sample;
   sample.kind = kind;
@@ -124,7 +127,7 @@ void DynamicBc::record_telemetry(trace::UpdateKind kind,
 }
 
 double DynamicBc::compute() {
-  trace::Span span("bc.compute", "bc",
+  trace::Span span(runtime_.tracer, "bc.compute", "bc",
                    {{"n", static_cast<double>(csr_.num_vertices())},
                     {"sources", static_cast<double>(store_.num_sources())}});
   const double modeled = recompute();
@@ -142,7 +145,7 @@ double DynamicBc::recompute() {
   // nothing left to fall back to.
   double modeled = 0.0;
   detail::retry_faults(
-      "bc.recompute", options_.recovery, num_devices(),
+      runtime_, "bc.recompute", options_.recovery, num_devices(),
       [&] { modeled = gpu_->compute(csr_, store_).stats.seconds; },
       [&](double cycles) { gpu_->charge_fault_backoff(cycles); });
   return modeled;
@@ -152,14 +155,15 @@ void DynamicBc::run_recovered(const char* what,
                               const std::function<void()>& engine_pass,
                               UpdateOutcome& outcome) {
   try {
-    detail::retry_faults(what, options_.recovery, num_devices(), engine_pass,
-                         [&](double cycles) {
+    detail::retry_faults(runtime_, what, options_.recovery, num_devices(),
+                         engine_pass, [&](double cycles) {
                            gpu_->charge_fault_backoff(cycles);
                          });
   } catch (const sim::FaultError& error) {
     if (!options_.recovery.fallback_recompute) throw;
-    detail::note_fault(what, error, "fallback_recompute", num_devices());
-    trace::metrics().add("bc.fault.fallback_recompute.count");
+    detail::note_fault(runtime_, what, error, "fallback_recompute",
+                       num_devices());
+    runtime_.metrics.add("bc.fault.fallback_recompute.count");
     // The per-source patch is abandoned: recompute every source from
     // scratch (retried inside recompute(); a second exhaustion there
     // propagates, which is the hard-failure path tests exercise with
@@ -184,14 +188,14 @@ UpdateOutcome DynamicBc::write_edge(VertexId u, VertexId v, bool removal) {
   if (!computed_) {
     throw std::logic_error("DynamicBc::compute() must run before " + op);
   }
-  trace::Span span("bc." + op, "bc",
+  trace::Span span(runtime_.tracer, "bc." + op, "bc",
                    {{"u", static_cast<double>(u)},
                     {"v", static_cast<double>(v)}});
   util::Stopwatch structure_clock;
   if (!(removal ? csr_.remove_edge(u, v) : csr_.insert_edge(u, v))) {
     return {};  // self loop, out of range, or already present / absent
   }
-  trace::Span update_span("bc.run_update", "bc");
+  trace::Span update_span(runtime_.tracer, "bc.run_update", "bc");
   UpdateOutcome outcome;
   util::Stopwatch clock;
   std::vector<SourceUpdateOutcome> outcomes;

@@ -87,15 +87,18 @@ class DynamicBc {
     AdaptiveConfig adaptive{};
     /// Reaction to injected runtime faults (bc/recovery.hpp): bounded
     /// retries with deterministic modeled backoff, then an optional
-    /// static-recompute fallback. Irrelevant unless sim::faults() is
-    /// enabled (the CPU engine never faults - it has no simulated
-    /// runtime).
+    /// static-recompute fallback. Irrelevant unless the runtime's fault
+    /// injector is enabled (the CPU engine never faults - it has no
+    /// simulated device).
     RecoveryPolicy recovery{};
   };
 
   /// Copies `g`; the analytic owns that one copy and patches it in place on
-  /// every accepted write.
-  DynamicBc(const CSRGraph& g, const Options& options);
+  /// every accepted write. Every metric, span, telemetry sample, hazard
+  /// check and fault poll of the analytic and its engines goes to
+  /// `runtime`, which must outlive it.
+  DynamicBc(const CSRGraph& g, const Options& options,
+            sim::Runtime& runtime = sim::Runtime::process());
 
   /// Initial static computation (fills the per-source store and scores).
   /// Must be called (once) before insert_edge. Returns the modeled seconds
@@ -147,6 +150,7 @@ class DynamicBc {
   bool computed() const { return computed_; }
   EngineKind engine() const { return options_.engine; }
   const Options& options() const { return options_; }
+  sim::Runtime& runtime() const { return runtime_; }
   /// Simulated devices the GPU engines run on (1 for the CPU engine).
   int num_devices() const;
   /// The adaptive parallelism policy (kGpuAdaptive only; null otherwise).
@@ -195,7 +199,7 @@ class DynamicBc {
   /// and update_wall_seconds into `outcome`. Defined in bc/batch_update.cpp.
   void run_batch_kernels(const BatchSnapshots& batch, const BatchConfig& config,
                          UpdateOutcome& outcome);
-  /// Folds a finished update into the opt-in stream telemetry
+  /// Folds a finished update into the runtime's opt-in stream telemetry
   /// (trace/telemetry.hpp). Every update path - single insert, removal,
   /// batch - reports through this one hook at the UpdateOutcome layer, so
   /// all engines (CPU and every GPU variant) inherit the attribution.
@@ -206,6 +210,7 @@ class DynamicBc {
   CSRGraph csr_;
   BcStore store_;
   Options options_;
+  sim::Runtime& runtime_;
   bool computed_ = false;
 
   std::unique_ptr<DynamicCpuEngine> cpu_engine_;  // kCpu only

@@ -7,8 +7,10 @@
 
 namespace bcdyn {
 
-DynamicCpuEngine::DynamicCpuEngine(VertexId num_vertices)
-    : n_(num_vertices),
+DynamicCpuEngine::DynamicCpuEngine(VertexId num_vertices,
+                                   sim::Runtime& runtime)
+    : runtime_(runtime),
+      n_(num_vertices),
       t_(static_cast<std::size_t>(num_vertices), Touch::kUntouched),
       sigma_hat_(static_cast<std::size_t>(num_vertices), 0.0),
       delta_hat_(static_cast<std::size_t>(num_vertices), 0.0),
@@ -103,7 +105,7 @@ SourceUpdateOutcome DynamicCpuEngine::update(
     ops_.reads += 2 * n + static_cast<std::uint64_t>(g.num_arcs()) * 4;
     ops_.writes += 3 * n + moved;
   }
-  record_source_update_metrics(outcome, n_);
+  record_source_update_metrics(runtime_.metrics, outcome, n_);
   return outcome;
 }
 

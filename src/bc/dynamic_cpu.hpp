@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "bc/case_classify.hpp"
+#include "gpusim/runtime.hpp"
 #include "graph/csr_graph.hpp"
 #include "trace/metrics.hpp"
 #include "util/types.hpp"
@@ -67,9 +68,9 @@ struct SourceUpdateOutcome {
 /// removal, and batch paths all land in the same counters, and the
 /// invariant case1+case2+case3 == per-source updates holds by
 /// construction (the differential fuzzer asserts it).
-inline void record_source_update_metrics(const SourceUpdateOutcome& r,
+inline void record_source_update_metrics(trace::MetricsRegistry& reg,
+                                         const SourceUpdateOutcome& r,
                                          VertexId n) {
-  auto& reg = trace::metrics();
   switch (r.update_case) {
     case UpdateCase::kNoWork:
       reg.add("bc.case1.count");
@@ -88,7 +89,11 @@ inline void record_source_update_metrics(const SourceUpdateOutcome& r,
 
 class DynamicCpuEngine {
  public:
-  explicit DynamicCpuEngine(VertexId num_vertices);
+  /// Records its case mix into `runtime`'s registry.
+  explicit DynamicCpuEngine(VertexId num_vertices,
+                            sim::Runtime& runtime = sim::Runtime::process());
+
+  sim::Runtime& runtime() const { return runtime_; }
 
   /// Updates source s's rows (dist/sigma/delta, holding pre-insertion
   /// values) and the shared BC scores for the insertion of edge {u, v}.
@@ -152,6 +157,7 @@ class DynamicCpuEngine {
                         std::span<Sigma> sigma, std::span<double> delta,
                         std::span<double> bc, VertexId u_high, VertexId u_low);
 
+  sim::Runtime& runtime_;
   VertexId n_;
   std::vector<Touch> t_;
   std::vector<Sigma> sigma_hat_;

@@ -45,12 +45,13 @@ struct GpuUpdateResult {
 class DynamicGpuBc {
  public:
   /// `host_workers` is ignored and kept for source compatibility: every
-  /// launch runs on the calling thread.
+  /// launch runs on the calling thread. The device records into `runtime`.
   DynamicGpuBc(sim::DeviceSpec spec, Parallelism mode,
                sim::CostModel cost = {}, int /*host_workers*/ = 0,
-               bool track_atomic_conflicts = false)
+               bool track_atomic_conflicts = false,
+               sim::Runtime& runtime = sim::Runtime::process())
       : core_(GpuSchedule::kStrided, 1, std::move(spec), mode, cost,
-              track_atomic_conflicts) {}
+              track_atomic_conflicts, ShardPolicy::kRoundRobin, runtime) {}
 
   /// Updates every source row of `store` plus the BC scores for the
   /// insertion of {u, v}. `g` must already contain the edge; the store

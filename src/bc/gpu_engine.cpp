@@ -109,16 +109,16 @@ struct GpuEngine::Launch {
 GpuEngine::GpuEngine(GpuSchedule schedule, int num_devices,
                      sim::DeviceSpec spec, Parallelism mode,
                      sim::CostModel cost, bool track_atomic_conflicts,
-                     ShardPolicy shard_policy)
+                     ShardPolicy shard_policy, sim::Runtime& runtime)
     : mode_(mode), shard_policy_(shard_policy) {
   if (schedule == GpuSchedule::kSharded) {
-    group_.emplace(num_devices, std::move(spec), cost,
-                   track_atomic_conflicts);
+    group_.emplace(num_devices, std::move(spec), cost, track_atomic_conflicts,
+                   runtime);
   } else {
     if (num_devices != 1) {
       throw std::invalid_argument("GpuEngine: kStrided runs on one device");
     }
-    device_.emplace(std::move(spec), cost, track_atomic_conflicts);
+    device_.emplace(std::move(spec), cost, track_atomic_conflicts, runtime);
   }
 }
 
@@ -290,7 +290,7 @@ GpuLaunch GpuEngine::insert_batch(const BatchSnapshots& batch, BcStore& store,
         auto delta = store.delta_row(si);
         auto& o = outcomes[static_cast<std::size_t>(si)];
         o = detail::run_source_batch(
-            batch.edges.size(), n, config,
+            ctx.runtime().metrics, batch.edges.size(), n, config,
             [&](std::size_t i) {
               const auto [u, v] = batch.edges[i];
               return detail::gpu_update_source(

@@ -118,11 +118,12 @@ class GpuEngine {
   }
 
   /// kStrided requires num_devices == 1 and ignores `shard_policy`. Every
-  /// launch runs on the calling thread.
+  /// launch runs on the calling thread; the devices record into `runtime`.
   GpuEngine(GpuSchedule schedule, int num_devices, sim::DeviceSpec spec,
             Parallelism mode, sim::CostModel cost = {},
             bool track_atomic_conflicts = false,
-            ShardPolicy shard_policy = ShardPolicy::kRoundRobin);
+            ShardPolicy shard_policy = ShardPolicy::kRoundRobin,
+            sim::Runtime& runtime = sim::Runtime::process());
 
   /// Static pass: zeroes BC, then recomputes every row + BC from scratch.
   /// `num_blocks` <= 0 is one block per SM; kSharded ignores it.

@@ -23,8 +23,8 @@ void fold_batch(const UpdateOutcome& o, UpdateOutcome& total) {
   total.modeled_seconds = makespan;
 }
 
-void record_pipeline_metrics(const PipelineResult& res) {
-  auto& reg = trace::metrics();
+void record_pipeline_metrics(trace::MetricsRegistry& reg,
+                             const PipelineResult& res) {
   reg.add("bc.pipeline.runs");
   reg.add("bc.pipeline.batches", static_cast<std::uint64_t>(res.batches));
   reg.add("bc.pipeline.h2d_bytes", res.h2d_bytes);
@@ -66,7 +66,7 @@ PipelineResult DynamicBc::insert_edge_batches(
   res.depth = std::max(1, config.depth);
   res.batches = static_cast<int>(batches.size());
   res.per_batch.reserve(batches.size());
-  trace::Span span("bc.insert_edge_batches", "bc",
+  trace::Span span(runtime_.tracer, "bc.insert_edge_batches", "bc",
                    {{"batches", static_cast<double>(batches.size())},
                     {"depth", static_cast<double>(res.depth)}});
 
@@ -87,7 +87,7 @@ PipelineResult DynamicBc::insert_edge_batches(
     res.modeled_seconds = res.serial_seconds;
     res.total.modeled_seconds = res.modeled_seconds;
     res.overlap_efficiency = 1.0;
-    record_pipeline_metrics(res);
+    record_pipeline_metrics(runtime_.metrics, res);
     return res;
   }
 
@@ -153,7 +153,7 @@ PipelineResult DynamicBc::insert_edge_batches(
       // propagates the FaultError to the caller.
       sim::TransferStats t{};
       detail::retry_faults(
-          "bc.pipeline.upload", options_.recovery, num_devices(),
+          runtime_, "bc.pipeline.upload", options_.recovery, num_devices(),
           [&] { t = uploads[d].memcpy_h2d(up_bytes, "pipeline.upload"); },
           [&](double cycles) { devs[d]->charge_fault_backoff(cycles); });
       upload_duration = t.end_cycles - t.start_cycles;
@@ -175,7 +175,7 @@ PipelineResult DynamicBc::insert_edge_batches(
       if (config.download_scores) {
         sim::TransferStats t{};
         detail::retry_faults(
-            "bc.pipeline.scores", options_.recovery, num_devices(),
+            runtime_, "bc.pipeline.scores", options_.recovery, num_devices(),
             [&] { t = downloads[d].memcpy_d2h(down_bytes, "pipeline.scores"); },
             [&](double cycles) { devs[d]->charge_fault_backoff(cycles); });
         download_duration = t.end_cycles - t.start_cycles;
@@ -199,7 +199,7 @@ PipelineResult DynamicBc::insert_edge_batches(
   res.overlap_efficiency =
       res.modeled_seconds > 0.0 ? res.serial_seconds / res.modeled_seconds
                                 : 1.0;
-  record_pipeline_metrics(res);
+  record_pipeline_metrics(runtime_.metrics, res);
   return res;
 }
 

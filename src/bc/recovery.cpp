@@ -2,33 +2,27 @@
 
 #include <string>
 
-#include "trace/telemetry.hpp"
-#include "trace/trace.hpp"
-
 namespace bcdyn::detail {
 
-void note_fault(const char* what, const sim::FaultError& error,
-                const char* action, int devices) {
+void note_fault(sim::Runtime& rt, const char* what,
+                const sim::FaultError& error, const char* action, int devices) {
   const sim::FaultRecord& record = error.record();
-  auto& reg = trace::metrics();
-  reg.add("bc.fault.caught.count");
-  reg.add(std::string("bc.fault.caught.") +
-          std::string(sim::to_string(record.kind)));
+  rt.metrics.add("bc.fault.caught.count");
+  rt.metrics.add(std::string("bc.fault.caught.") +
+                 std::string(sim::to_string(record.kind)));
 
-  auto& tr = trace::tracer();
-  if (tr.enabled()) {
-    tr.instant(std::string("bc.fault.") + action, "fault",
-               {{"seq", static_cast<double>(record.seq)}});
+  if (rt.tracer.enabled()) {
+    rt.tracer.instant(std::string("bc.fault.") + action, "fault",
+                      {{"seq", static_cast<double>(record.seq)}});
   }
 
-  auto& tel = trace::telemetry();
-  if (tel.enabled()) {
+  if (rt.telemetry.enabled()) {
     trace::AnomalyEvent event;
     event.seq = record.seq;
     event.sample.engine = what;
     event.sample.devices = devices;
     event.detail = record.to_string() + " -> " + action;
-    tel.flag_fault(std::move(event));
+    rt.telemetry.flag_fault(std::move(event));
   }
 }
 

@@ -16,8 +16,7 @@
 
 #include <cstdint>
 
-#include "gpusim/fault_injector.hpp"
-#include "trace/metrics.hpp"
+#include "gpusim/runtime.hpp"
 
 namespace bcdyn {
 
@@ -40,38 +39,40 @@ struct RecoveryPolicy {
 
 namespace detail {
 
-/// One caught fault: bumps bc.fault.caught.* metrics, emits a trace
-/// instant event, and flags a telemetry AnomalyEvent (type kFault) with
-/// `action` ("retry", "exhausted", ...) in the detail string. `what`
-/// labels the recovering operation (e.g. "bc.insert").
-void note_fault(const char* what, const sim::FaultError& error,
-                const char* action, int devices);
+/// One caught fault, recorded on `rt`: bumps bc.fault.caught.* metrics,
+/// emits a trace instant event, and flags a telemetry AnomalyEvent (type
+/// kFault) with `action` ("retry", "exhausted", ...) in the detail string.
+/// `what` labels the recovering operation (e.g. "bc.insert").
+void note_fault(sim::Runtime& rt, const char* what,
+                const sim::FaultError& error, const char* action, int devices);
 
 /// Runs `attempt` with bounded retries under `policy`: on sim::FaultError
 /// it notes the fault, charges the deterministic doubling backoff through
 /// `backoff(cycles)` (which should advance the device timelines), and
 /// re-runs. After max_retries it bumps bc.fault.exhausted.count and
 /// rethrows - callers wanting the static-recompute fallback catch there.
-/// A retry that then succeeds bumps bc.fault.recovered.count.
+/// A retry that then succeeds bumps bc.fault.recovered.count. Every record
+/// lands on `rt`.
 template <typename Attempt, typename Backoff>
-void retry_faults(const char* what, const RecoveryPolicy& policy,
-                  int devices, Attempt&& attempt, Backoff&& backoff) {
+void retry_faults(sim::Runtime& rt, const char* what,
+                  const RecoveryPolicy& policy, int devices, Attempt&& attempt,
+                  Backoff&& backoff) {
   for (int tries = 0;; ++tries) {
     try {
       attempt();
-      if (tries > 0) trace::metrics().add("bc.fault.recovered.count");
+      if (tries > 0) rt.metrics.add("bc.fault.recovered.count");
       return;
     } catch (const sim::FaultError& error) {
       if (tries >= policy.max_retries) {
-        note_fault(what, error, "exhausted", devices);
-        trace::metrics().add("bc.fault.exhausted.count");
+        note_fault(rt, what, error, "exhausted", devices);
+        rt.metrics.add("bc.fault.exhausted.count");
         throw;
       }
-      note_fault(what, error, "retry", devices);
-      trace::metrics().add("bc.fault.retries.count");
+      note_fault(rt, what, error, "retry", devices);
+      rt.metrics.add("bc.fault.retries.count");
       const double wait =
           policy.backoff_cycles * static_cast<double>(1 << tries);
-      trace::metrics().observe("bc.fault.backoff_cycles", wait);
+      rt.metrics.observe("bc.fault.backoff_cycles", wait);
       backoff(wait);
     }
   }

@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "trace/metrics.hpp"
 #include "trace/telemetry.hpp"
 #include "util/cli.hpp"
 
@@ -60,10 +59,10 @@ ServiceConfig service_config_from_flags(const util::ServiceFlags& flags) {
 }
 
 Service::Service(const CSRGraph& g, const Options& options,
-                 const ServiceConfig& config)
-    : session_(g, options),
+                 const ServiceConfig& config, sim::Runtime& runtime)
+    : session_(g, options, runtime),
       config_(config),
-      snapshots_(config.snapshot_retain) {
+      snapshots_(kSnapshotRetain) {
   if (config_.coalesce_depth < 1) config_.coalesce_depth = 1;
   if (config_.queue_depth < 1) config_.queue_depth = 1;
 }
@@ -88,7 +87,7 @@ std::vector<Response> Service::run(std::vector<Request> requests) {
   responses_.reserve(requests.size());
   for (const Request& req : requests) admit(req);
   flush();
-  auto& m = trace::metrics();
+  auto& m = session_.runtime().metrics;
   m.set_gauge("bc.service.epoch",
               static_cast<double>(snapshots_.latest_epoch()));
   m.set_gauge("bc.service.queue_peak",
@@ -136,7 +135,7 @@ void Service::admit(const Request& req) {
   response.arrival_time = arrival;
   responses_.push_back(response);
 
-  auto& m = trace::metrics();
+  auto& m = session_.runtime().metrics;
   totals_.requests += 1;
   m.add("bc.service.requests.count");
   m.add(client_key(req.client_id, "requests"));
@@ -176,7 +175,7 @@ void Service::shed_read(std::size_t response_index, double at) {
   r.start_time = at;
   r.completion_time = at;
   totals_.reads_shed += 1;
-  auto& m = trace::metrics();
+  auto& m = session_.runtime().metrics;
   m.add("bc.service.reads.shed.count");
   m.add(client_key(r.client_id, "shed"));
 }
@@ -214,19 +213,20 @@ void Service::serve_one_read() {
 
   totals_.reads_served += 1;
   read_latencies_.push_back(r.latency());
-  auto& m = trace::metrics();
+  auto& m = session_.runtime().metrics;
   m.add("bc.service.reads.served.count");
   m.observe("bc.service.read_latency_us", r.latency() * 1e6);
   m.observe("bc.service.read_wait_us", (start - r.arrival_time) * 1e6);
   note_completion(r.completion_time);
 
-  if (config_.telemetry_reads && trace::telemetry().enabled()) {
+  trace::StreamTelemetry& telemetry = session_.runtime().telemetry;
+  if (telemetry.enabled()) {
     trace::UpdateSample sample;
     sample.kind = trace::UpdateKind::kRead;
     sample.engine = bcdyn::to_string(session_.engine());
     sample.devices = session_.num_devices();
     sample.modeled_seconds = r.latency();
-    trace::telemetry().record(sample);
+    telemetry.record(sample);
   }
 }
 
@@ -254,7 +254,7 @@ void Service::commit(double trigger) {
   drain_reads();
 
   const double dispatch = std::max(trigger, front_free_at_);
-  front_free_at_ = dispatch + config_.commit_cost_seconds;
+  front_free_at_ = dispatch + kCommitCostSeconds;
   const double engine_start = std::max(front_free_at_, engine_free_at_);
 
   UpdateOutcome outcome;
@@ -290,7 +290,7 @@ void Service::commit(double trigger) {
 
   totals_.commits += 1;
   totals_.coalesced_updates += static_cast<std::uint64_t>(writes);
-  auto& m = trace::metrics();
+  auto& m = session_.runtime().metrics;
   m.add("bc.service.commits.count");
   m.add("bc.service.coalesced_updates.count",
         static_cast<std::uint64_t>(writes));

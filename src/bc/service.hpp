@@ -34,16 +34,18 @@
 // (freeing the head for fresher traffic) or rejects the incoming one.
 //
 // Two timelines model the asymmetry the paper's serving framing needs:
-// the *front-end* serves reads and pays commit_cost_seconds to dispatch
-// each commit (the per-epoch publication overhead coalescing amortizes -
-// this is why read tail latency improves under a write-heavy stream),
-// while the *engine* timeline runs the analytic's own modeled seconds.
+// the *front-end* serves reads and pays Service::kCommitCostSeconds to
+// dispatch each commit (the per-epoch publication overhead coalescing
+// amortizes - this is why read tail latency improves under a write-heavy
+// stream), while the *engine* timeline runs the analytic's own modeled
+// seconds.
 // The initial static pass is provisioning: epoch 0 commits at t=0 with
 // both timelines free.
 //
-// Everything is observable under bc.service.* metrics and an optional
-// "kind:read" telemetry series; with no Service constructed, no
-// bc.service.* key exists and reports are byte-identical to before.
+// Everything is observable under bc.service.* metrics and, with the
+// runtime's telemetry on, a "kind:read" series, all on the Service's
+// sim::Runtime; with no Service constructed, no bc.service.* key exists
+// and reports are byte-identical to before.
 #pragma once
 
 #include <cstdint>
@@ -116,9 +118,6 @@ struct ServiceConfig {
   ShedPolicy shed = ShedPolicy::kOldestRead;
   /// Front-end cost of serving one read from the pinned snapshot.
   double read_cost_seconds = 1e-6;
-  /// Front-end cost of dispatching one commit (epoch publication +
-  /// batch hand-off) - the overhead coalescing amortizes.
-  double commit_cost_seconds = 10e-6;
   /// Coalesced insert runs of size >= 2 dispatch through the fused
   /// batch engine (Session::insert_edge_batch): fastest, and scores
   /// agree with sequential application to 1e-7 (the batch path's
@@ -127,11 +126,6 @@ struct ServiceConfig {
   /// asserts). Set false to apply each coalesced write individually:
   /// final scores are then bit-identical at every coalescing depth.
   bool fused_commits = true;
-  /// Snapshots kept resident in the SnapshotStore.
-  std::size_t snapshot_retain = 64;
-  /// Record each served read as a telemetry UpdateSample (kind:read
-  /// series) when the telemetry layer is enabled.
-  bool telemetry_reads = true;
 };
 
 /// Aggregate accounting over the service lifetime (virtual time).
@@ -158,11 +152,18 @@ ServiceConfig service_config_from_flags(const util::ServiceFlags& flags);
 
 class Service {
  public:
-  /// Owns a Session over `g` (applying options.runtime exactly as a bare
-  /// Session would). The static pass runs on first use and publishes
-  /// epoch 0 at virtual time 0.
+  /// Front-end cost of dispatching one commit (epoch publication + batch
+  /// hand-off) - the overhead coalescing amortizes.
+  static constexpr double kCommitCostSeconds = 10e-6;
+  /// Snapshots kept resident in the SnapshotStore.
+  static constexpr std::size_t kSnapshotRetain = 64;
+
+  /// Owns a Session over `g` on `runtime`, which also receives the
+  /// service's bc.service.* metrics and kind:read telemetry. The static
+  /// pass runs on first use and publishes epoch 0 at virtual time 0.
   Service(const CSRGraph& g, const Options& options,
-          const ServiceConfig& config = {});
+          const ServiceConfig& config = {},
+          sim::Runtime& runtime = sim::Runtime::process());
 
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;

@@ -38,11 +38,13 @@ struct ShardedBatchResult {
 
 class ShardedGpuBc {
  public:
+  /// The group records into `runtime`.
   ShardedGpuBc(int num_devices, sim::DeviceSpec spec, Parallelism mode,
                sim::CostModel cost = {}, bool track_atomic_conflicts = false,
-               ShardPolicy policy = ShardPolicy::kRoundRobin)
+               ShardPolicy policy = ShardPolicy::kRoundRobin,
+               sim::Runtime& runtime = sim::Runtime::process())
       : core_(GpuSchedule::kSharded, num_devices, std::move(spec), mode, cost,
-              track_atomic_conflicts, policy) {}
+              track_atomic_conflicts, policy, runtime) {}
 
   /// Static pass: recomputes every row + BC from scratch, one job per
   /// source, sharded across the group. Zeroes BC first.

@@ -23,12 +23,13 @@ namespace bcdyn {
 class StaticGpuBc {
  public:
   /// `host_workers` is ignored and kept for source compatibility: every
-  /// launch runs on the calling thread.
+  /// launch runs on the calling thread. The device records into `runtime`.
   StaticGpuBc(sim::DeviceSpec spec, Parallelism mode,
               sim::CostModel cost = {}, int /*host_workers*/ = 0,
-              bool track_atomic_conflicts = false)
+              bool track_atomic_conflicts = false,
+              sim::Runtime& runtime = sim::Runtime::process())
       : core_(GpuSchedule::kStrided, 1, std::move(spec), mode, cost,
-              track_atomic_conflicts) {}
+              track_atomic_conflicts, ShardPolicy::kRoundRobin, runtime) {}
 
   /// Recomputes the store (all rows + BC) from scratch on the simulated
   /// device. `num_blocks` <= 0 launches one block per SM (the paper's

@@ -6,10 +6,10 @@
 
 namespace bcdyn::sim {
 
-// Shadow-memory state for one block, allocated only while the process-wide
+// Shadow-memory state for one block, allocated only while the runtime's
 // hazard detector is enabled. `window` maps each address touched in the
 // current round to the items that touched it; `state` is the journal the
-// Device folds into sim::hazards() after the launch.
+// Device folds into that detector after the launch.
 struct BlockContext::Shadow {
   static constexpr std::uint64_t kNone =
       std::numeric_limits<std::uint64_t>::max();
@@ -31,12 +31,14 @@ struct BlockContext::Shadow {
 };
 
 BlockContext::BlockContext(const DeviceSpec& spec, const CostModel& cost,
-                           int block_id, bool track_atomic_conflicts)
+                           int block_id, bool track_atomic_conflicts,
+                           Runtime& runtime)
     : spec_(&spec),
       cost_(&cost),
+      runtime_(&runtime),
       block_id_(block_id),
       track_conflicts_(track_atomic_conflicts) {
-  if (hazards().enabled()) shadow_ = std::make_unique<Shadow>();
+  if (runtime.hazards.enabled()) shadow_ = std::make_unique<Shadow>();
 }
 
 BlockContext::BlockContext(BlockContext&&) noexcept = default;

@@ -66,6 +66,7 @@
 #include "gpusim/device_spec.hpp"
 #include "gpusim/hazard_detector.hpp"
 #include "gpusim/kernel_stats.hpp"
+#include "gpusim/runtime.hpp"
 
 namespace bcdyn::sim {
 
@@ -84,18 +85,24 @@ struct ItemRange {
 
 class BlockContext {
  public:
-  /// Holds pointers to `spec` and `cost`; both must outlive the context
-  /// (Device owns them for the production paths). Temporaries are rejected
-  /// at compile time to keep the borrow honest.
+  /// Holds pointers to `spec`, `cost` and `runtime`; all must outlive the
+  /// context (Device owns them for the production paths). Temporaries are
+  /// rejected at compile time to keep the borrow honest. The hazard shadow
+  /// is on when the runtime's detector is enabled at construction.
   BlockContext(const DeviceSpec& spec, const CostModel& cost, int block_id,
-               bool track_atomic_conflicts = false);
-  BlockContext(DeviceSpec&&, const CostModel&, int, bool = false) = delete;
-  BlockContext(const DeviceSpec&, CostModel&&, int, bool = false) = delete;
+               bool track_atomic_conflicts = false,
+               Runtime& runtime = Runtime::process());
+  BlockContext(DeviceSpec&&, const CostModel&, int, bool = false,
+               Runtime& = Runtime::process()) = delete;
+  BlockContext(const DeviceSpec&, CostModel&&, int, bool = false,
+               Runtime& = Runtime::process()) = delete;
   BlockContext(BlockContext&&) noexcept;
   BlockContext& operator=(BlockContext&&) noexcept;
   ~BlockContext();
 
   int block_id() const { return block_id_; }
+  /// Where the kernels running on this block record metrics.
+  Runtime& runtime() const { return *runtime_; }
   int num_threads() const { return spec_->threads_per_block; }
 
   /// SIMT loop over n work items with an implicit trailing barrier.
@@ -378,6 +385,7 @@ class BlockContext {
 
   const DeviceSpec* spec_;
   const CostModel* cost_;
+  Runtime* runtime_;
   int block_id_;
   bool track_conflicts_;
   BlockCounters counters_;

@@ -1,45 +1,33 @@
 #include "gpusim/device.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
 #include <queue>
 #include <utility>
 #include <vector>
 
-#include "gpusim/fault_injector.hpp"
-#include "trace/metrics.hpp"
-#include "trace/trace.hpp"
 #include "trace/validate.hpp"
 
 namespace bcdyn::sim {
 
-namespace {
-
-int next_trace_pid() {
-  static std::atomic<int> counter{trace::kDevicePidBase};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace
-
-// Folds the blocks' shadow journals into the process hazard detector. Runs
-// after the launch's stats/metrics/trace are recorded, so a strict-mode
-// HazardError never loses the evidence it reports.
-void collect_hazards(std::string_view name,
+// Runs after the launch's stats/metrics/trace are recorded, so a
+// strict-mode HazardError never loses the evidence it reports.
+void collect_hazards(HazardDetector& detector, std::string_view name,
                      const std::vector<BlockContext>& contexts) {
   std::vector<const BlockHazardState*> states;
   states.reserve(contexts.size());
   for (const auto& ctx : contexts) states.push_back(ctx.hazard_state());
-  hazards().collect(name.empty() ? "kernel" : name, states);
+  detector.collect(name.empty() ? "kernel" : name, states);
 }
 
-Device::Device(DeviceSpec spec, CostModel cost, bool track_atomic_conflicts)
+Device::Device(DeviceSpec spec, CostModel cost, bool track_atomic_conflicts,
+               Runtime& runtime)
     : spec_(std::move(spec)),
       cost_(cost),
+      runtime_(runtime),
       track_conflicts_(track_atomic_conflicts),
-      trace_pid_(next_trace_pid()) {
-  trace::tracer().set_process_name(
+      trace_pid_(runtime.tracer.allocate_device_pid()) {
+  runtime_.tracer.set_process_name(
       trace_pid_, "device " + std::to_string(trace_pid_ - trace::kDevicePidBase) +
                       " (" + spec_.name + ")");
 }
@@ -99,7 +87,7 @@ KernelStats Device::finish_launch(std::string_view name, std::string_view cat,
       schedule_blocks(block_cycles, spec_.num_sms, dispatch_cycles);
   KernelStats stats = record_scheduled_launch(name, cat, num_blocks, counters,
                                               std::move(timeline), setup_cycles);
-  collect_hazards(name, contexts);
+  collect_hazards(runtime_.hazards, name, contexts);
   return stats;
 }
 
@@ -123,7 +111,7 @@ KernelStats Device::record_scheduled_launch(
 
   // Metrics: launch totals plus schedule-quality histograms. Occupancy is
   // recorded in percent so the log2 buckets spread usefully.
-  auto& reg = trace::metrics();
+  auto& reg = runtime_.metrics;
   reg.add("sim.launches");
   reg.add("sim.blocks", counters.size());
   if (stats.total.atomic_conflicts > 0) {
@@ -151,7 +139,7 @@ KernelStats Device::record_scheduled_launch(
   // block/job on its SM's track, all on this device's modeled-cycles axis
   // laid out after every earlier launch.
   const std::int64_t launch_id = launch_seq_++;
-  auto& tr = trace::tracer();
+  auto& tr = runtime_.tracer;
   if (tr.enabled()) {
     const double us_per_cycle = 1.0 / (spec_.clock_ghz * 1e3);
     const double origin_us = timeline_origin_cycles_ * us_per_cycle;
@@ -182,7 +170,7 @@ KernelStats Device::record_scheduled_launch(
 // launch then re-runs every block in the original order, so recovered
 // scores fold bit-identically to a fault-free run.
 void Device::check_launch_abort(std::string_view name) {
-  auto& injector = faults();
+  auto& injector = runtime_.faults;
   if (!injector.enabled()) return;
   std::string site = fault_domain_;
   site += ".launch.";
@@ -210,7 +198,7 @@ KernelStats Device::launch_strided(int num_blocks, int num_jobs,
   std::vector<BlockContext> contexts;
   contexts.reserve(static_cast<std::size_t>(num_blocks));
   for (int b = 0; b < num_blocks; ++b) {
-    contexts.emplace_back(spec_, cost_, b, track_conflicts_);
+    contexts.emplace_back(spec_, cost_, b, track_conflicts_, runtime_);
   }
   for (int j = 0; j < num_jobs; ++j) {
     kernel(contexts[static_cast<std::size_t>(j % num_blocks)], j);
@@ -231,7 +219,8 @@ KernelStats Device::launch_queue(std::span<const int> queue,
   contexts.reserve(queue.size());
   std::vector<std::size_t> position(queue.size());
   for (int p = 0; p < num_jobs; ++p) {
-    contexts.emplace_back(spec_, cost_, p % lanes, track_conflicts_);
+    contexts.emplace_back(spec_, cost_, p % lanes, track_conflicts_,
+                          runtime_);
     position[static_cast<std::size_t>(queue[static_cast<std::size_t>(p)])] =
         static_cast<std::size_t>(p);
   }

@@ -13,8 +13,9 @@
 //
 // Every launch also records its full schedule - which SM each block landed
 // on and when - as a LaunchTimeline, feeds sim.* metrics, and (when the
-// process tracer is enabled) emits the timeline onto the device's trace
-// tracks. None of that feeds back into modeled results.
+// tracer is enabled) emits the timeline onto the device's trace tracks, all
+// on the device's sim::Runtime. None of that feeds back into modeled
+// results.
 #pragma once
 
 #include <functional>
@@ -27,6 +28,7 @@
 #include "gpusim/cost_model.hpp"
 #include "gpusim/device_spec.hpp"
 #include "gpusim/kernel_stats.hpp"
+#include "gpusim/runtime.hpp"
 
 namespace bcdyn::sim {
 
@@ -53,10 +55,13 @@ struct LaunchTimeline {
 class Device {
  public:
   explicit Device(DeviceSpec spec, CostModel cost = {},
-                  bool track_atomic_conflicts = false);
+                  bool track_atomic_conflicts = false,
+                  Runtime& runtime = Runtime::process());
 
   const DeviceSpec& spec() const { return spec_; }
   const CostModel& cost_model() const { return cost_; }
+  /// Where this device's launches, streams and transfers record.
+  Runtime& runtime() const { return runtime_; }
 
   using Kernel = std::function<void(BlockContext&)>;
 
@@ -178,13 +183,13 @@ class Device {
   /// Schedule of the most recent launch (empty before the first one).
   const LaunchTimeline& last_timeline() const { return last_timeline_; }
 
-  /// The pid this device's modeled timeline uses in the process trace.
+  /// The pid this device's modeled timeline uses in its runtime's trace.
   int trace_pid() const { return trace_pid_; }
 
   // --- fault injection (gpusim/fault_injector.hpp) ----------------------
   // Fault sites are keyed by this domain string ("dev" standalone,
   // "dev0".."devN-1" inside a DeviceGroup) - NOT the trace pid, which
-  // comes from a process-lifetime counter and would break replay. launch()
+  // counts every device the runtime ever built and would break replay. launch()
   // and launch_queue() poll "<domain>.launch.<name>" at entry (before any
   // host execution), record_transfer polls "<domain>.h2d"/"<domain>.d2h".
 
@@ -213,6 +218,7 @@ class Device {
 
   DeviceSpec spec_;
   CostModel cost_;
+  Runtime& runtime_;
   bool track_conflicts_;
   KernelStats accumulated_;
   LaunchTimeline last_timeline_;
@@ -236,10 +242,10 @@ double schedule_makespan(const std::vector<double>& block_cycles, int num_sms,
 LaunchTimeline schedule_blocks(const std::vector<double>& block_cycles,
                                int num_sms, double dispatch_cycles);
 
-/// Folds the blocks' shadow journals into sim::hazards() under `name`.
-/// Called by Device and DeviceGroup after each launch is recorded; throws
+/// Folds the blocks' shadow journals into `detector` under `name`. Called
+/// by Device and DeviceGroup after each launch is recorded; throws
 /// HazardError in strict mode when the launch added violations.
-void collect_hazards(std::string_view name,
+void collect_hazards(HazardDetector& detector, std::string_view name,
                      const std::vector<BlockContext>& contexts);
 
 }  // namespace bcdyn::sim

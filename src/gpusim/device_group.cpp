@@ -7,15 +7,13 @@
 #include <string>
 #include <utility>
 
-#include "gpusim/fault_injector.hpp"
-#include "trace/metrics.hpp"
 #include "trace/validate.hpp"
 
 namespace bcdyn::sim {
 
 DeviceGroup::DeviceGroup(int num_devices, DeviceSpec spec, CostModel cost,
-                         bool track_atomic_conflicts)
-    : track_conflicts_(track_atomic_conflicts) {
+                         bool track_atomic_conflicts, Runtime& runtime)
+    : runtime_(runtime), track_conflicts_(track_atomic_conflicts) {
   if (num_devices < 1) {
     throw std::invalid_argument("DeviceGroup needs at least one device");
   }
@@ -27,7 +25,7 @@ DeviceGroup::DeviceGroup(int num_devices, DeviceSpec spec, CostModel cost,
       named.name = spec.name + " #" + std::to_string(d);
     }
     devices_.push_back(std::make_unique<Device>(
-        std::move(named), cost, track_atomic_conflicts));
+        std::move(named), cost, track_atomic_conflicts, runtime));
     // Group position, not trace pid: fault sites must replay across runs.
     devices_.back()->set_fault_domain("dev" + std::to_string(d));
   }
@@ -43,8 +41,8 @@ std::vector<int> DeviceGroup::apply_faults(std::span<const int> initial_device,
                                            std::string_view name,
                                            int* resharded_jobs,
                                            int* lost_devices) {
-  auto& injector = faults();
-  auto& reg = trace::metrics();
+  auto& injector = runtime_.faults;
+  auto& reg = runtime_.metrics;
   // Loss polls: one per live device, in device order, so each device's
   // decision stream depends only on how many group launches it survived.
   for (int d = 0; d < num_devices(); ++d) {
@@ -231,7 +229,7 @@ GroupLaunchResult DeviceGroup::launch_sharded(
   int lost_now = 0;
   std::span<const int> shard = initial_device;
   std::vector<int> remapped;
-  if (faults().enabled()) {
+  if (runtime_.faults.enabled()) {
     remapped = apply_faults(initial_device, name, &resharded_jobs, &lost_now);
     shard = remapped;
   }
@@ -242,7 +240,7 @@ GroupLaunchResult DeviceGroup::launch_sharded(
   contexts.reserve(static_cast<std::size_t>(std::max(num_jobs, 0)));
   for (int j = 0; j < num_jobs; ++j) {
     contexts.emplace_back(spec(), cost_model(), /*block_id=*/0,
-                          track_conflicts_);
+                          track_conflicts_, runtime_);
     kernel(contexts.back(), j);
   }
   std::vector<double> job_cycles;
@@ -358,7 +356,7 @@ GroupLaunchResult DeviceGroup::launch_sharded(
   result.group.seconds =
       result.group.makespan_cycles / (spec().clock_ghz * 1e9);
 
-  auto& reg = trace::metrics();
+  auto& reg = runtime_.metrics;
   reg.add("sim.group.launches");
   reg.add("sim.group.jobs", static_cast<std::uint64_t>(std::max(num_jobs, 0)));
   reg.add("sim.group.steals", static_cast<std::uint64_t>(result.steals));
@@ -380,7 +378,7 @@ GroupLaunchResult DeviceGroup::launch_sharded(
   }
   // After stats/metrics (and per_job) are recorded, so strict mode loses
   // nothing when it throws.
-  collect_hazards(name, contexts);
+  collect_hazards(runtime_.hazards, name, contexts);
   return result;
 }
 

@@ -25,6 +25,7 @@
 // Every device in the group records its own LaunchTimeline, sim.* metrics,
 // and (when the tracer is on) per-SM trace tracks, exactly like a
 // stand-alone Device; the group additionally records sim.group.* metrics.
+// The group and its devices share one sim::Runtime.
 #pragma once
 
 #include <memory>
@@ -68,7 +69,8 @@ class DeviceGroup {
   /// `num_devices` identical devices of `spec`. Kernels execute inline on
   /// the calling thread in job-id order (see header comment).
   DeviceGroup(int num_devices, DeviceSpec spec, CostModel cost = {},
-              bool track_atomic_conflicts = false);
+              bool track_atomic_conflicts = false,
+              Runtime& runtime = Runtime::process());
 
   int num_devices() const { return static_cast<int>(devices_.size()); }
   Device& device(int i) { return *devices_[static_cast<std::size_t>(i)]; }
@@ -134,6 +136,7 @@ class DeviceGroup {
                                 int* lost_devices);
 
   std::vector<std::unique_ptr<Device>> devices_;
+  Runtime& runtime_;
   bool track_conflicts_;
   std::vector<char> lost_;  // 1 = dead to fault injection, permanently
 };

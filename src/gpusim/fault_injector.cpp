@@ -147,9 +147,8 @@ bool FaultInjector::decide(FaultKind kind, std::string_view site,
     if (records_.size() < kMaxRecords) records_.push_back(std::move(record));
   }
   // Metrics outside the lock, mirroring HazardDetector::collect.
-  auto& reg = trace::metrics();
-  reg.add("sim.fault.injected.count");
-  reg.add(std::string("sim.fault.injected.") +
+  metrics_.add("sim.fault.injected.count");
+  metrics_.add(std::string("sim.fault.injected.") +
           std::string(to_string(kind)));
   return true;
 }
@@ -192,19 +191,6 @@ std::uint64_t FaultInjector::injected(FaultKind kind) const {
 std::vector<FaultRecord> FaultInjector::records() const {
   std::lock_guard<std::mutex> lock(mu_);
   return records_;
-}
-
-void FaultInjector::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  seq_.clear();
-  injected_total_ = 0;
-  for (auto& k : injected_by_kind_) k = 0;
-  records_.clear();
-}
-
-FaultInjector& faults() {
-  static FaultInjector injector;
-  return injector;
 }
 
 }  // namespace bcdyn::sim

@@ -1,7 +1,7 @@
 // Deterministic fault injection for the simulated runtime.
 //
-// A process-wide opt-in singleton (like trace::tracer() and sim::hazards())
-// that the simulator polls at well-known *fault sites*: copy-engine
+// An opt-in injector, one per sim::Runtime, that the simulator polls at
+// well-known *fault sites*: copy-engine
 // transfers (H2D/D2H failure or added stall latency), kernel launches
 // (abort before any host execution mutates analytic state), and per-device
 // loss polls in DeviceGroup::launch_sharded. Every decision is a pure hash
@@ -36,6 +36,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "trace/metrics.hpp"
 
 namespace bcdyn::sim {
 
@@ -95,11 +97,15 @@ class FaultError : public std::runtime_error {
   FaultRecord record_;
 };
 
-/// Process-wide fault injector (see file comment). Decision methods are
+/// A runtime's fault injector (see file comment). Decision methods are
 /// cheap no-ops while disabled; enabling costs one mutex acquisition per
 /// polled site.
 class FaultInjector {
  public:
+  /// Counts sim.fault.* into `metrics` (its runtime's registry).
+  explicit FaultInjector(trace::MetricsRegistry& metrics)
+      : metrics_(metrics) {}
+
   /// Keep the first kMaxRecords fired decisions; counts are unbounded.
   static constexpr std::size_t kMaxRecords = 64;
 
@@ -135,16 +141,13 @@ class FaultInjector {
   std::uint64_t injected(FaultKind kind) const;
   std::vector<FaultRecord> records() const;  // first kMaxRecords, in order
 
-  /// Drops counts, records, and per-site sequences; keeps the enabled
-  /// flag and the installed plan.
-  void clear();
-
  private:
   /// Advances the (kind, site) sequence and hashes it against the plan's
   /// rate for `kind`. Fired decisions append a record and bump sim.fault.*
   /// metrics.
   bool decide(FaultKind kind, std::string_view site, FaultRecord* fired);
 
+  trace::MetricsRegistry& metrics_;
   mutable std::mutex mu_;
   std::atomic<bool> enabled_{false};
   FaultPlan plan_;
@@ -153,8 +156,5 @@ class FaultInjector {
   std::uint64_t injected_by_kind_[4] = {};
   std::vector<FaultRecord> records_;
 };
-
-/// The process-wide injector the simulator polls.
-FaultInjector& faults();
 
 }  // namespace bcdyn::sim

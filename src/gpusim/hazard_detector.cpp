@@ -74,13 +74,12 @@ std::uint64_t HazardDetector::collect(
     untracked_ += new_untracked;
   }
 
-  auto& reg = trace::metrics();
-  reg.add("sim.hazard.launches");
-  if (new_tracked > 0) reg.add("sim.hazard.tracked", new_tracked);
-  if (new_untracked > 0) reg.add("sim.hazard.untracked", new_untracked);
+  metrics_.add("sim.hazard.launches");
+  if (new_tracked > 0) metrics_.add("sim.hazard.tracked", new_tracked);
+  if (new_untracked > 0) metrics_.add("sim.hazard.untracked", new_untracked);
   if (new_violations > 0) {
-    reg.add("sim.hazard.violations", new_violations);
-    reg.add("sim.hazard.violations." + kernel, new_violations);
+    metrics_.add("sim.hazard.violations", new_violations);
+    metrics_.add("sim.hazard.violations." + kernel, new_violations);
   }
 
   if (new_violations > 0 && strict()) {
@@ -115,20 +114,6 @@ std::uint64_t HazardDetector::untracked_accesses() const {
 std::vector<HazardRecord> HazardDetector::records() const {
   std::lock_guard<std::mutex> lock(mu_);
   return records_;
-}
-
-void HazardDetector::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  launches_checked_ = 0;
-  violations_ = 0;
-  tracked_ = 0;
-  untracked_ = 0;
-  records_.clear();
-}
-
-HazardDetector& hazards() {
-  static HazardDetector detector;
-  return detector;
 }
 
 }  // namespace bcdyn::sim

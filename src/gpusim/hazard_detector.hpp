@@ -39,6 +39,8 @@
 #include <string_view>
 #include <vector>
 
+#include "trace/metrics.hpp"
+
 namespace bcdyn::sim {
 
 enum class HazardAccess : std::uint8_t { kRead, kWrite, kAtomic };
@@ -74,7 +76,7 @@ class HazardError : public std::runtime_error {
 };
 
 /// Per-block shadow journal, filled by BlockContext while a kernel runs and
-/// folded into the process detector when the launch finishes. `violations`
+/// folded into its runtime's detector when the launch finishes. `violations`
 /// counts flagged (address, round) conflict sites; `records` keeps the
 /// first few with full context.
 struct BlockHazardState {
@@ -84,11 +86,15 @@ struct BlockHazardState {
   std::uint64_t untracked = 0;  // unaddressed accesses (invisible)
 };
 
-/// Process-wide hazard detector (like trace::tracer(): the simulator has
-/// one, the engines never construct it). BlockContext samples enabled() at
-/// construction; Device and DeviceGroup call collect() once per launch.
+/// The hazard detector of one sim::Runtime (the engines never construct
+/// one). BlockContext samples enabled() at construction; Device and
+/// DeviceGroup call collect() once per launch.
 class HazardDetector {
  public:
+  /// Counts sim.hazard.* into `metrics` (its runtime's registry).
+  explicit HazardDetector(trace::MetricsRegistry& metrics)
+      : metrics_(metrics) {}
+
   /// Keep the first kMaxRecords violation records; counts are unbounded.
   static constexpr std::size_t kMaxRecords = 64;
 
@@ -114,10 +120,8 @@ class HazardDetector {
   std::uint64_t untracked_accesses() const;
   std::vector<HazardRecord> records() const;  // first kMaxRecords, stamped
 
-  /// Drops accumulated state; leaves enabled/strict flags alone.
-  void clear();
-
  private:
+  trace::MetricsRegistry& metrics_;
   mutable std::mutex mu_;
   std::atomic<bool> enabled_{false};
   std::atomic<bool> strict_{false};
@@ -127,8 +131,5 @@ class HazardDetector {
   std::uint64_t untracked_ = 0;
   std::vector<HazardRecord> records_;
 };
-
-/// The process-wide detector the simulator records into.
-HazardDetector& hazards();
 
 }  // namespace bcdyn::sim

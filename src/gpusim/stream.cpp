@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "gpusim/fault_injector.hpp"
-#include "trace/metrics.hpp"
-#include "trace/trace.hpp"
 #include "trace/validate.hpp"
 
 namespace bcdyn::sim {
@@ -27,7 +24,7 @@ Stream::Stream(Device& device, std::string name)
 void Stream::wait_event(const Event& event) {
   if (!event.recorded()) return;
   ready_cycles_ = std::max(ready_cycles_, event.cycles());
-  trace::metrics().add("sim.stream.event_waits");
+  device_->runtime().metrics.add("sim.stream.event_waits");
 }
 
 TransferStats Stream::memcpy_h2d(std::uint64_t bytes, std::string_view label) {
@@ -56,7 +53,7 @@ KernelStats Stream::launch_queue(int num_jobs, const Device::JobKernel& kernel,
   KernelStats stats = device_->launch_queue(num_jobs, kernel, per_job, name);
   ready_cycles_ = device_->compute_end_cycles();
 
-  auto& tr = trace::tracer();
+  auto& tr = device_->runtime().tracer;
   if (tr.enabled()) {
     const double us_per_cycle = 1.0 / (device_->spec().clock_ghz * 1e3);
     tr.complete(device_->trace_pid(), trace::kStreamTrackBase + id_,
@@ -70,15 +67,15 @@ KernelStats Stream::launch_queue(int num_jobs, const Device::JobKernel& kernel,
 
 int Device::register_stream(std::string_view name) {
   const int id = num_streams_++;
-  trace::metrics().add("sim.stream.created");
-  trace::tracer().set_thread_name(
+  runtime_.metrics.add("sim.stream.created");
+  runtime_.tracer.set_thread_name(
       trace_pid_, trace::kStreamTrackBase + id,
       "stream " + std::to_string(id) +
           (name.empty() ? "" : " (" + std::string(name) + ")"));
   if (num_streams_ == 1) {
-    trace::tracer().set_thread_name(trace_pid_, trace::kCopyEngineTid,
+    runtime_.tracer.set_thread_name(trace_pid_, trace::kCopyEngineTid,
                                     "copy engine 0 (h2d)");
-    trace::tracer().set_thread_name(trace_pid_, trace::kCopyEngineTid + 1,
+    runtime_.tracer.set_thread_name(trace_pid_, trace::kCopyEngineTid + 1,
                                     "copy engine 1 (d2h)");
   }
   return id;
@@ -86,7 +83,7 @@ int Device::register_stream(std::string_view name) {
 
 void Device::wait_compute_until(double cycles) {
   if (cycles <= timeline_origin_cycles_) return;
-  trace::metrics().observe("sim.stream.compute_stall_cycles",
+  runtime_.metrics.observe("sim.stream.compute_stall_cycles",
                            cycles - timeline_origin_cycles_);
   timeline_origin_cycles_ = cycles;
 }
@@ -110,7 +107,7 @@ Device::TransferRecord Device::record_transfer(int stream_id,
   // latency before the DMA starts); a failure occupies the engine for the
   // full transfer window - the data never landed, but the bus time was
   // spent - and throws before the caller's stream observes completion.
-  auto& injector = faults();
+  auto& injector = runtime_.faults;
   if (injector.enabled()) {
     const std::string site = fault_domain_ + "." + dir_name;
     const double stall = injector.stall_cycles(site);
@@ -128,14 +125,14 @@ Device::TransferRecord Device::record_transfer(int stream_id,
   r.end_cycles = r.start_cycles + transfer_cycles(cost_, dir, bytes);
   engine_end = r.end_cycles;
 
-  auto& reg = trace::metrics();
+  auto& reg = runtime_.metrics;
   reg.add("sim.copy.transfers");
   reg.add(std::string("sim.copy.") + dir_name + ".transfers");
   reg.add(std::string("sim.copy.") + dir_name + ".bytes", bytes);
   reg.observe("sim.copy.transfer_bytes", static_cast<double>(bytes));
   if (r.wait_cycles > 0.0) reg.observe("sim.copy.wait_cycles", r.wait_cycles);
 
-  auto& tr = trace::tracer();
+  auto& tr = runtime_.tracer;
   if (tr.enabled()) {
     const double us_per_cycle = 1.0 / (spec_.clock_ghz * 1e3);
     const std::string name =

@@ -39,11 +39,6 @@ double HistogramSnapshot::quantile(double q) const {
   return max;
 }
 
-MetricsRegistry& metrics() {
-  static MetricsRegistry m;
-  return m;
-}
-
 void MetricsRegistry::add(std::string_view name, std::uint64_t delta) {
   std::lock_guard lock(mu_);
   counters_[std::string(name)] += delta;
@@ -101,13 +96,6 @@ std::map<std::string, double> MetricsRegistry::gauges() const {
 std::map<std::string, HistogramSnapshot> MetricsRegistry::histograms() const {
   std::lock_guard lock(mu_);
   return histograms_;
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
 }
 
 void MetricsRegistry::write_json(std::ostream& out) const {

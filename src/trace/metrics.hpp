@@ -1,4 +1,4 @@
-// Process-wide metrics: named counters, gauges, and summary histograms.
+// Metrics: named counters, gauges, and summary histograms.
 //
 // Unlike the tracer, the registry is always on - a bump is one mutex-guarded
 // map update, cheap at the rates the engines emit (per source x insertion,
@@ -69,8 +69,6 @@ class MetricsRegistry {
   std::map<std::string, double> gauges() const;
   std::map<std::string, HistogramSnapshot> histograms() const;
 
-  void reset();
-
   /// Flat machine-readable export: one JSON object with "counters",
   /// "gauges" and "histograms" sections, keys sorted for stable diffs.
   void write_json(std::ostream& out) const;
@@ -82,7 +80,8 @@ class MetricsRegistry {
   std::map<std::string, HistogramSnapshot> histograms_;
 };
 
-/// The process-wide registry the engines and simulator record into.
+/// The registry of sim::Runtime::process() (gpusim/runtime.hpp): where
+/// code that was handed no Runtime records.
 MetricsRegistry& metrics();
 
 }  // namespace bcdyn::trace

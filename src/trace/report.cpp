@@ -40,7 +40,8 @@ void rule(std::ostream& out) {
 }  // namespace
 
 void write_report(const std::vector<TraceEvent>& events,
-                  const MetricsRegistry& registry, std::ostream& out) {
+                  const MetricsRegistry& registry,
+                  const StreamTelemetry& telemetry, std::ostream& out) {
   const auto counters = registry.counters();
 
   // --- top kernels by modeled time -----------------------------------
@@ -291,8 +292,8 @@ void write_report(const std::vector<TraceEvent>& events,
 
   // --- fault injection & recovery (opt-in, gpusim/fault_injector.hpp) --
   // Only rendered when the injector fired or the bc layer caught a fault:
-  // with sim::faults() disabled neither counter exists and the report is
-  // byte-identical to a plain run.
+  // with the fault injector disabled neither counter exists and the report
+  // is byte-identical to a plain run.
   const std::uint64_t injected =
       registry.counter_value("sim.fault.injected.count");
   const std::uint64_t caught = registry.counter_value("bc.fault.caught.count");
@@ -370,10 +371,9 @@ void write_report(const std::vector<TraceEvent>& events,
   }
 
   // --- stream telemetry (opt-in windowed latency monitor) ------------
-  // Reads the process-wide trace::telemetry() singleton (like the hazard
-  // section, absent unless the layer ran: a disabled run has zero updates
-  // and the report is byte-identical to a plain one).
-  const TelemetrySnapshot tel = telemetry().snapshot();
+  // Like the hazard section, absent unless the layer ran: a disabled run
+  // has zero updates and the report is byte-identical to a plain one.
+  const TelemetrySnapshot tel = telemetry.snapshot();
   if (tel.updates > 0) {
     out << "\n== stream telemetry ==\n";
     out << "  " << tel.updates << " updates, window " << tel.config.window
@@ -492,10 +492,10 @@ void write_report(const std::vector<TraceEvent>& events,
   }
 }
 
-std::string report_string(const Tracer& tracer,
-                          const MetricsRegistry& registry) {
+std::string report_string(const Tracer& tracer, const MetricsRegistry& registry,
+                          const StreamTelemetry& telemetry) {
   std::ostringstream out;
-  write_report(tracer.events(), registry, out);
+  write_report(tracer.events(), registry, telemetry, out);
   return out.str();
 }
 

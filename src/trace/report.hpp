@@ -1,6 +1,6 @@
-// Human-readable run report assembled from a recorded trace plus the
-// metrics registry. This is what `bcdyn_trace` prints and what
-// bc::Session::report() returns.
+// Human-readable run report assembled from a recorded trace, the metrics
+// registry and the stream telemetry of one sim::Runtime. This is what
+// `bcdyn_trace` prints and what bc::Session::report() returns.
 //
 // Sections appear in a fixed, documented order so reports from two runs
 // diff cleanly. Sections marked (opt-in) are omitted entirely - not
@@ -27,13 +27,16 @@
 #include <vector>
 
 #include "trace/metrics.hpp"
+#include "trace/telemetry.hpp"
 #include "trace/trace.hpp"
 
 namespace bcdyn::trace {
 
 void write_report(const std::vector<TraceEvent>& events,
-                  const MetricsRegistry& registry, std::ostream& out);
+                  const MetricsRegistry& registry,
+                  const StreamTelemetry& telemetry, std::ostream& out);
 
-std::string report_string(const Tracer& tracer, const MetricsRegistry& registry);
+std::string report_string(const Tracer& tracer, const MetricsRegistry& registry,
+                          const StreamTelemetry& telemetry);
 
 }  // namespace bcdyn::trace

@@ -1,6 +1,5 @@
 #include "trace/trace.hpp"
 
-#include <atomic>
 #include <chrono>
 
 namespace bcdyn::trace {
@@ -13,30 +12,12 @@ std::int64_t steady_ns() {
       .count();
 }
 
-/// Stable per-thread track id (tid) for host spans, assigned on first use.
-int host_tid() {
-  static std::atomic<int> next{0};
-  thread_local int tid = next.fetch_add(1, std::memory_order_relaxed);
-  return tid;
-}
-
 }  // namespace
-
-Tracer& tracer() {
-  static Tracer t;
-  return t;
-}
 
 void Tracer::set_enabled(bool on) {
   std::lock_guard lock(mu_);
   if (on && !enabled_ && epoch_ns_ == 0) epoch_ns_ = steady_ns();
   enabled_ = on;
-}
-
-void Tracer::clear() {
-  std::lock_guard lock(mu_);
-  events_.clear();
-  epoch_ns_ = steady_ns();
 }
 
 double Tracer::now_us() const {
@@ -50,6 +31,22 @@ void Tracer::push(TraceEvent ev) {
   events_.push_back(std::move(ev));
 }
 
+void Tracer::push_host(TraceEvent ev) {
+  std::lock_guard lock(mu_);
+  if (!enabled_) return;
+  // Stable per-thread track: threads get tids 0, 1, ... in first-use order.
+  ev.tid = host_tids_
+               .try_emplace(std::this_thread::get_id(),
+                            static_cast<int>(host_tids_.size()))
+               .first->second;
+  events_.push_back(std::move(ev));
+}
+
+int Tracer::allocate_device_pid() {
+  std::lock_guard lock(mu_);
+  return next_device_pid_++;
+}
+
 void Tracer::begin(std::string_view name, std::string_view cat,
                    std::initializer_list<TraceArg> args) {
   if (!enabled()) return;
@@ -58,9 +55,8 @@ void Tracer::begin(std::string_view name, std::string_view cat,
   ev.name = name;
   ev.cat = cat;
   ev.ts_us = now_us();
-  ev.tid = host_tid();
   ev.args.assign(args.begin(), args.end());
-  push(std::move(ev));
+  push_host(std::move(ev));
 }
 
 void Tracer::end() {
@@ -68,8 +64,7 @@ void Tracer::end() {
   TraceEvent ev;
   ev.phase = TraceEvent::Phase::kEnd;
   ev.ts_us = now_us();
-  ev.tid = host_tid();
-  push(std::move(ev));
+  push_host(std::move(ev));
 }
 
 void Tracer::complete(int pid, int tid, double ts_us, double dur_us,
@@ -96,9 +91,8 @@ void Tracer::instant(std::string_view name, std::string_view cat,
   ev.name = name;
   ev.cat = cat;
   ev.ts_us = now_us();
-  ev.tid = host_tid();
   ev.args.assign(args.begin(), args.end());
-  push(std::move(ev));
+  push_host(std::move(ev));
 }
 
 void Tracer::counter(std::string_view name, double value) {
@@ -107,9 +101,8 @@ void Tracer::counter(std::string_view name, double value) {
   ev.phase = TraceEvent::Phase::kCounter;
   ev.name = name;
   ev.ts_us = now_us();
-  ev.tid = host_tid();
   ev.args.push_back({"value", value});
-  push(std::move(ev));
+  push_host(std::move(ev));
 }
 
 void Tracer::set_process_name(int pid, std::string name) {
@@ -142,14 +135,14 @@ std::map<std::pair<int, int>, std::string> Tracer::thread_names() const {
   return thread_names_;
 }
 
-Span::Span(std::string_view name, std::string_view cat,
+Span::Span(Tracer& tracer, std::string_view name, std::string_view cat,
            std::initializer_list<TraceArg> args)
-    : active_(tracer().enabled()) {
-  if (active_) tracer().begin(name, cat, args);
+    : tracer_(tracer.enabled() ? &tracer : nullptr) {
+  if (tracer_) tracer_->begin(name, cat, args);
 }
 
 Span::~Span() {
-  if (active_) tracer().end();
+  if (tracer_) tracer_->end();
 }
 
 }  // namespace bcdyn::trace

@@ -1,5 +1,6 @@
-// The system's flight recorder: a process-wide tracer with nestable spans
-// and typed timeline events, designed to be zero-overhead when disabled.
+// The system's flight recorder: a tracer (one per sim::Runtime) with
+// nestable spans and typed timeline events, designed to be zero-overhead
+// when disabled.
 //
 // Two timelines coexist in one trace, distinguished by pid:
 //
@@ -7,7 +8,8 @@
 //                         One track (tid) per host thread; spans strictly
 //                         nest per track.
 //   pid 1+ ("device N")   X complete events on the *modeled-cycles* axis,
-//                         one pid per sim::Device instance. Track (tid) s
+//                         one pid per sim::Device on the tracer's runtime
+//                         (allocate_device_pid). Track (tid) s
 //                         is SM s carrying the block/job placement
 //                         timeline; a separate "launches" track carries one
 //                         event per kernel launch. Successive launches on a
@@ -27,6 +29,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 namespace bcdyn::trace {
@@ -77,10 +80,6 @@ class Tracer {
   }
   void set_enabled(bool on);
 
-  /// Drops all recorded events and restarts the host-time epoch. Track
-  /// names are kept (they describe topology, not history).
-  void clear();
-
   /// Host wall time in microseconds since the tracer epoch.
   double now_us() const;
 
@@ -99,6 +98,9 @@ class Tracer {
   void counter(std::string_view name, double value);
 
   // --- track naming (metadata; recorded even while disabled) ------------
+  /// The next device pid: kDevicePidBase, kDevicePidBase + 1, ... in the
+  /// order the runtime's devices were constructed.
+  int allocate_device_pid();
   void set_process_name(int pid, std::string name);
   void set_thread_name(int pid, int tid, std::string name);
 
@@ -108,24 +110,27 @@ class Tracer {
   std::map<std::pair<int, int>, std::string> thread_names() const;
 
  private:
+  /// Stamps the calling thread's host track (assigned on first use) and
+  /// appends the event while enabled.
+  void push_host(TraceEvent ev);
   void push(TraceEvent ev);
 
   mutable std::mutex mu_;
   std::atomic<bool> enabled_{false};
   std::int64_t epoch_ns_ = 0;
+  int next_device_pid_ = kDevicePidBase;
+  std::map<std::thread::id, int> host_tids_;
   std::vector<TraceEvent> events_;
   std::map<int, std::string> process_names_;
   std::map<std::pair<int, int>, std::string> thread_names_;
 };
 
-/// The process-wide tracer every subsystem records into.
-Tracer& tracer();
-
-/// RAII host span: opens on construction (if tracing is enabled at that
-/// moment), closes on destruction. Safe to use unconditionally.
+/// RAII host span on `tracer`: opens on construction (if tracing is
+/// enabled at that moment), closes on destruction. Safe to use
+/// unconditionally.
 class Span {
  public:
-  Span(std::string_view name, std::string_view cat,
+  Span(Tracer& tracer, std::string_view name, std::string_view cat,
        std::initializer_list<TraceArg> args = {});
   ~Span();
 
@@ -133,7 +138,7 @@ class Span {
   Span& operator=(const Span&) = delete;
 
  private:
-  bool active_;
+  Tracer* tracer_;  // null when the span did not open
 };
 
 }  // namespace bcdyn::trace

@@ -272,9 +272,11 @@ TEST(AdaptivePolicyFuzz, SuiteStreamIsHazardCleanAndConsistent) {
   for (const std::string& name : gen::suite_names()) {
     SCOPED_TRACE(name);
     const auto entry = gen::build_suite_graph(name, 0.05, 7);
-    test::HazardScope hazards(/*strict=*/true);
-    DynamicBc bc(entry.graph, {.engine = EngineKind::kGpuAdaptive,
-                               .approx = {.num_sources = 8, .seed = 3}});
+    test::HazardRuntime rt(/*strict=*/true);
+    DynamicBc bc(entry.graph,
+                 {.engine = EngineKind::kGpuAdaptive,
+                  .approx = {.num_sources = 8, .seed = 3}},
+                 rt);
     bc.compute();
     BCDYN_SEEDED_RNG(rng, 0x5eedu ^ std::hash<std::string>{}(name));
     std::vector<std::pair<VertexId, VertexId>> applied;
@@ -290,7 +292,7 @@ TEST(AdaptivePolicyFuzz, SuiteStreamIsHazardCleanAndConsistent) {
     if (!applied.empty()) {
       bc.remove_edge(applied.front().first, applied.front().second);
     }
-    EXPECT_EQ(sim::hazards().violations(), 0u);
+    EXPECT_EQ(rt.hazards.violations(), 0u);
     EXPECT_LT(bc.verify_against_recompute(), 1e-6);
     EXPECT_GT(bc.policy()->log().size(), 0u);
   }

@@ -33,11 +33,9 @@
 namespace bcdyn {
 namespace {
 
-/// Sum of the per-source scenario counters the engines bump on every
-/// analytic update (the registry is process-wide, so invariants are
-/// asserted on deltas).
-std::uint64_t case_counter_total() {
-  auto& m = trace::metrics();
+/// Sum of the per-source scenario counters the engines bump in `m` on every
+/// analytic update (invariants are asserted on deltas).
+std::uint64_t case_counter_total(const trace::MetricsRegistry& m) {
   return m.counter_value("bc.case1.count") + m.counter_value("bc.case2.count") +
          m.counter_value("bc.case3.count");
 }
@@ -89,7 +87,7 @@ TEST_P(DifferentialFuzz, AllPathsMatchFreshRecomputeAfterEveryStep) {
   // detector: any same-round data race inside a GPU-engine kernel throws
   // HazardError and fails the test at the offending step, on top of the
   // numeric differential checks below.
-  test::HazardScope hazard_scope(/*strict=*/true);
+  test::HazardRuntime rt(/*strict=*/true);
   const std::string gen_name = GetParam();
   const auto entry = gen::build_suite_graph(gen_name, kScale, 977);
   CSRGraph g = entry.graph;
@@ -102,11 +100,11 @@ TEST_P(DifferentialFuzz, AllPathsMatchFreshRecomputeAfterEveryStep) {
   PathState batch("batch", n, cfg);
   for (auto* p : {&cpu, &edge, &node, &batch}) brandes_all(g, p->store);
 
-  DynamicCpuEngine cpu_engine(n);
-  DynamicGpuBc edge_engine(sim::DeviceSpec::tesla_c2075(), Parallelism::kEdge);
-  DynamicGpuBc node_engine(sim::DeviceSpec::tesla_c2075(), Parallelism::kNode);
-  DynamicGpuBc batch_engine(sim::DeviceSpec::tesla_c2075(),
-                            Parallelism::kEdge);
+  const auto spec = sim::DeviceSpec::tesla_c2075();
+  DynamicCpuEngine cpu_engine(n, rt);
+  DynamicGpuBc edge_engine(spec, Parallelism::kEdge, {}, 0, false, rt);
+  DynamicGpuBc node_engine(spec, Parallelism::kNode, {}, 0, false, rt);
+  DynamicGpuBc batch_engine(spec, Parallelism::kEdge, {}, 0, false, rt);
 
   // The batch path lags: pending edges accumulate against batch_base and
   // are flushed through insert_edge_batch every kBatchFlush steps (and at
@@ -123,7 +121,7 @@ TEST_P(DifferentialFuzz, AllPathsMatchFreshRecomputeAfterEveryStep) {
     if (u == kNoVertex) break;
     g = g.with_edge(u, v);
 
-    const std::uint64_t cases_before = case_counter_total();
+    const std::uint64_t cases_before = case_counter_total(rt.metrics);
     for (int si = 0; si < cpu.store.num_sources(); ++si) {
       const VertexId s = cpu.store.sources()[static_cast<std::size_t>(si)];
       cpu_engine.update_source(g, s, cpu.store.dist_row(si),
@@ -137,10 +135,10 @@ TEST_P(DifferentialFuzz, AllPathsMatchFreshRecomputeAfterEveryStep) {
     // Metric accounting invariant: three engines just classified this
     // insertion once per source, and every classification lands in exactly
     // one of the three case counters.
-    ASSERT_EQ(case_counter_total() - cases_before,
+    ASSERT_EQ(case_counter_total(rt.metrics) - cases_before,
               static_cast<std::uint64_t>(3 * kNumSources))
         << "case counters out of step at step=" << step;
-    const auto touched = trace::metrics().histogram("bc.touched_fraction");
+    const auto touched = rt.metrics.histogram("bc.touched_fraction");
     EXPECT_LE(touched.max, 1.0)
         << "a source update claimed to touch more vertices than exist";
 
@@ -163,9 +161,9 @@ TEST_P(DifferentialFuzz, AllPathsMatchFreshRecomputeAfterEveryStep) {
     }
   }
   EXPECT_GT(flushes, 0);
-  EXPECT_EQ(sim::hazards().violations(), 0u)
+  EXPECT_EQ(rt.hazards.violations(), 0u)
       << "GPU engines flagged data hazards during the fuzz stream";
-  EXPECT_GT(sim::hazards().tracked_accesses(), 0u)
+  EXPECT_GT(rt.hazards.tracked_accesses(), 0u)
       << "hazard detector saw no addressed accesses - kernels not converted?";
 }
 
@@ -188,7 +186,7 @@ class FaultedDifferentialFuzz : public ::testing::TestWithParam<std::string> {
 };
 
 TEST_P(FaultedDifferentialFuzz, RecoveredGpuMatchesCpuReferenceEveryStep) {
-  test::HazardScope hazard_scope(/*strict=*/true);
+  test::HazardRuntime rt(/*strict=*/true);
   const std::string gen_name = GetParam();
   const auto entry = gen::build_suite_graph(gen_name, kScale, 977);
   const ApproxConfig cfg{.num_sources = kNumSources, .seed = 31};
@@ -199,7 +197,8 @@ TEST_P(FaultedDifferentialFuzz, RecoveredGpuMatchesCpuReferenceEveryStep) {
                  .approx = cfg,
                  .num_devices = 2,
                  .recovery = {.max_retries = 10,
-                              .fallback_recompute = false}});
+                              .fallback_recompute = false}},
+                rt);
   cpu.compute();
 
   // No device loss here: the seed mixes std::hash, which varies across
@@ -211,7 +210,8 @@ TEST_P(FaultedDifferentialFuzz, RecoveredGpuMatchesCpuReferenceEveryStep) {
   plan.seed = 0xD1FF ^ std::hash<std::string>{}(gen_name);
   plan.kernel_abort_rate = 0.2;
   plan.stall_rate = 0.2;
-  const test::FaultScope fault_scope(plan);
+  rt.faults.configure(plan);
+  rt.faults.set_enabled(true);
 
   gpu.compute();
   BCDYN_SEEDED_RNG(rng, 979 + std::hash<std::string>{}(gen_name) % 1000);
@@ -229,9 +229,9 @@ TEST_P(FaultedDifferentialFuzz, RecoveredGpuMatchesCpuReferenceEveryStep) {
           << step << " vertex " << x;
     }
   }
-  EXPECT_GT(sim::faults().injected(), 0u)
+  EXPECT_GT(rt.faults.injected(), 0u)
       << "fault plan fired nothing - the mode tested a plain run";
-  EXPECT_EQ(sim::hazards().violations(), 0u)
+  EXPECT_EQ(rt.hazards.violations(), 0u)
       << "recovery replayed a launch into inconsistent shadow state";
 }
 
@@ -401,16 +401,16 @@ struct StreamRun {
 };
 
 StreamRun run_edge_stream(const CSRGraph& g0, const std::string& gen_name,
-                          bool conflicts) {
+                          bool conflicts, sim::Runtime& rt) {
   const ApproxConfig cfg{.num_sources = kNumSources, .seed = 31};
   const auto spec = sim::DeviceSpec::tesla_c2075();
   StreamRun run(BcStore(g0.num_vertices(), cfg));
   CSRGraph g = g0;
 
-  StaticGpuBc stat(spec, Parallelism::kEdge, {}, 0, conflicts);
+  StaticGpuBc stat(spec, Parallelism::kEdge, {}, 0, conflicts, rt);
   run.stats.push_back(stat.compute(g, run.store));
 
-  DynamicGpuBc engine(spec, Parallelism::kEdge, {}, 0, conflicts);
+  DynamicGpuBc engine(spec, Parallelism::kEdge, {}, 0, conflicts, rt);
   auto tally = [&](const GpuUpdateResult& r, bool insert) {
     run.stats.push_back(r.stats);
     for (const auto& o : r.outcomes) {
@@ -503,11 +503,12 @@ TEST_P(FastPathDifferential, ClosedFormChargesMatchFullSteppingBitForBit) {
   const auto& [gen_name, conflicts] = GetParam();
   const CSRGraph g = gen::build_suite_graph(gen_name, kScale, 977).graph;
 
-  const StreamRun fast = run_edge_stream(g, gen_name, conflicts);
+  sim::Runtime plain;
+  const StreamRun fast = run_edge_stream(g, gen_name, conflicts, plain);
   const StreamRun full = [&] {
-    const test::HazardScope hazard_scope;
-    StreamRun run = run_edge_stream(g, gen_name, conflicts);
-    EXPECT_GT(sim::hazards().tracked_accesses(), 0u)
+    test::HazardRuntime rt;
+    StreamRun run = run_edge_stream(g, gen_name, conflicts, rt);
+    EXPECT_GT(rt.hazards.tracked_accesses(), 0u)
         << "the shadow saw no access - the reference did not step";
     return run;
   }();

@@ -34,7 +34,7 @@
 namespace bcdyn {
 namespace {
 
-using test::FaultScope;
+using test::FaultRuntime;
 
 void expect_bit_identical(std::span<const double> actual,
                           std::span<const double> expected,
@@ -45,9 +45,9 @@ void expect_bit_identical(std::span<const double> actual,
   }
 }
 
-std::vector<std::string> record_strings() {
+std::vector<std::string> record_strings(const sim::FaultInjector& injector) {
   std::vector<std::string> out;
-  for (const auto& rec : sim::faults().records()) {
+  for (const auto& rec : injector.records()) {
     out.push_back(rec.to_string());
   }
   return out;
@@ -87,10 +87,10 @@ TEST(FaultInjector, SameSeedReplaysByteIdenticalDecisions) {
   plan.kernel_abort_rate = 0.3;
   std::vector<std::uint64_t> first;
   {
-    FaultScope scope(plan);
+    FaultRuntime rt(plan);
     for (int i = 0; i < 64; ++i) {
       sim::FaultRecord fired;
-      if (sim::faults().should_abort_launch("dev.launch.k", &fired)) {
+      if (rt.faults.should_abort_launch("dev.launch.k", &fired)) {
         first.push_back(fired.seq);
       }
     }
@@ -99,10 +99,10 @@ TEST(FaultInjector, SameSeedReplaysByteIdenticalDecisions) {
   ASSERT_LT(first.size(), 64u) << "rate 0.3 fired every decision";
   std::vector<std::uint64_t> second;
   {
-    FaultScope scope(plan);
+    FaultRuntime rt(plan);
     for (int i = 0; i < 64; ++i) {
       sim::FaultRecord fired;
-      if (sim::faults().should_abort_launch("dev.launch.k", &fired)) {
+      if (rt.faults.should_abort_launch("dev.launch.k", &fired)) {
         second.push_back(fired.seq);
       }
     }
@@ -114,27 +114,21 @@ TEST(FaultInjector, SitesDecideIndependently) {
   sim::FaultPlan plan;
   plan.seed = 99;
   plan.kernel_abort_rate = 0.25;
-  const auto fired_at = [](std::string_view site, bool interleave) {
+  const auto fired_at = [&plan](std::string_view site, bool interleave) {
+    FaultRuntime rt(plan);
     std::vector<std::uint64_t> fired;
     for (int i = 0; i < 48; ++i) {
       sim::FaultRecord rec;
-      if (sim::faults().should_abort_launch(site, &rec)) {
+      if (rt.faults.should_abort_launch(site, &rec)) {
         fired.push_back(rec.seq);
       }
-      if (interleave) sim::faults().should_abort_launch("other.site");
+      if (interleave) rt.faults.should_abort_launch("other.site");
     }
     return fired;
   };
-  std::vector<std::uint64_t> alone;
-  {
-    FaultScope scope(plan);
-    alone = fired_at("dev.launch.k", false);
-  }
-  std::vector<std::uint64_t> interleaved;
-  {
-    FaultScope scope(plan);
-    interleaved = fired_at("dev.launch.k", true);
-  }
+  const std::vector<std::uint64_t> alone = fired_at("dev.launch.k", false);
+  const std::vector<std::uint64_t> interleaved =
+      fired_at("dev.launch.k", true);
   // A site's decision stream depends only on its own poll count, never on
   // how often other sites were polled in between.
   EXPECT_EQ(alone, interleaved);
@@ -144,11 +138,12 @@ TEST(FaultInjector, SiteFilterOnlySuppressesNonMatchingSites) {
   sim::FaultPlan plan;
   plan.seed = 5;
   plan.kernel_abort_rate = 0.5;
-  const auto fired_seqs = [](std::string_view site) {
+  const auto fired_seqs = [](sim::FaultInjector& injector,
+                              std::string_view site) {
     std::vector<std::uint64_t> fired;
     for (int i = 0; i < 32; ++i) {
       sim::FaultRecord rec;
-      if (sim::faults().should_abort_launch(site, &rec)) {
+      if (injector.should_abort_launch(site, &rec)) {
         fired.push_back(rec.seq);
       }
     }
@@ -156,29 +151,29 @@ TEST(FaultInjector, SiteFilterOnlySuppressesNonMatchingSites) {
   };
   std::vector<std::uint64_t> unfiltered;
   {
-    FaultScope scope(plan);
-    unfiltered = fired_seqs("a.launch.k");
+    FaultRuntime rt(plan);
+    unfiltered = fired_seqs(rt.faults, "a.launch.k");
   }
   ASSERT_FALSE(unfiltered.empty());
   plan.site_filter = "a.launch";
   {
-    FaultScope scope(plan);
+    FaultRuntime rt(plan);
     // Non-matching sites never fire; matching sites decide exactly as the
     // filterless plan did (the filter gates firing, not the hash).
-    EXPECT_TRUE(fired_seqs("b.launch.k").empty());
-    EXPECT_EQ(fired_seqs("a.launch.k"), unfiltered);
+    EXPECT_TRUE(fired_seqs(rt.faults, "b.launch.k").empty());
+    EXPECT_EQ(fired_seqs(rt.faults, "a.launch.k"), unfiltered);
   }
 }
 
 // --- per-kind fault sites -------------------------------------------------
 
 TEST(FaultSites, TransferFailureThrowsWithSiteAndKind) {
-  sim::Device dev(sim::DeviceSpec::tesla_c2075());
-  sim::Stream stream(dev, "chaos");
   sim::FaultPlan plan;
   plan.seed = 11;
   plan.transfer_fail_rate = 1.0;
-  FaultScope scope(plan);
+  FaultRuntime rt(plan);
+  sim::Device dev(sim::DeviceSpec::tesla_c2075(), {}, false, rt);
+  sim::Stream stream(dev, "chaos");
   try {
     stream.memcpy_h2d(1 << 20, "chaos.upload");
     FAIL() << "transfer at rate 1.0 did not fail";
@@ -187,18 +182,18 @@ TEST(FaultSites, TransferFailureThrowsWithSiteAndKind) {
     EXPECT_EQ(e.record().site, "dev.h2d");
     EXPECT_EQ(e.record().seq, 0u);
   }
-  EXPECT_EQ(sim::faults().injected(sim::FaultKind::kTransferFail), 1u);
+  EXPECT_EQ(rt.faults.injected(sim::FaultKind::kTransferFail), 1u);
 }
 
 TEST(FaultSites, StallShiftsTransferCompletionByPlanCycles) {
   const auto transfer_end = [](bool faulty) {
-    sim::Device dev(sim::DeviceSpec::tesla_c2075());
-    sim::Stream stream(dev, "chaos");
     sim::FaultPlan plan;
     plan.seed = 3;
     plan.stall_rate = faulty ? 1.0 : 0.0;
     plan.stall_cycles = 12345.0;
-    FaultScope scope(plan);
+    FaultRuntime rt(plan);
+    sim::Device dev(sim::DeviceSpec::tesla_c2075(), {}, false, rt);
+    sim::Stream stream(dev, "chaos");
     return stream.memcpy_h2d(1 << 16, "chaos.upload").end_cycles;
   };
   const double clean = transfer_end(false);
@@ -207,11 +202,11 @@ TEST(FaultSites, StallShiftsTransferCompletionByPlanCycles) {
 }
 
 TEST(FaultSites, LaunchAbortFiresBeforeAnyExecution) {
-  sim::Device dev(sim::DeviceSpec::tesla_c2075());
   sim::FaultPlan plan;
   plan.seed = 21;
   plan.kernel_abort_rate = 1.0;
-  FaultScope scope(plan);
+  FaultRuntime rt(plan);
+  sim::Device dev(sim::DeviceSpec::tesla_c2075(), {}, false, rt);
   bool ran = false;
   try {
     dev.launch(2, [&](sim::BlockContext&) { ran = true; }, "chaos_kernel");
@@ -224,12 +219,12 @@ TEST(FaultSites, LaunchAbortFiresBeforeAnyExecution) {
 }
 
 TEST(FaultSites, DeviceLossReshardsOntoSurvivors) {
-  sim::DeviceGroup group(2, sim::DeviceSpec::tesla_c2075());
   sim::FaultPlan plan;
   plan.seed = 8;
   plan.device_loss_rate = 1.0;
   plan.site_filter = "dev0.loss";
-  FaultScope scope(plan);
+  FaultRuntime rt(plan);
+  sim::DeviceGroup group(2, sim::DeviceSpec::tesla_c2075(), {}, false, rt);
   const std::vector<int> shard = {0, 1, 0, 1};
   std::vector<int> executed;
   const auto result = group.launch_sharded(
@@ -256,11 +251,11 @@ TEST(FaultSites, DeviceLossReshardsOntoSurvivors) {
 }
 
 TEST(FaultSites, AllDevicesLostThrows) {
-  sim::DeviceGroup group(2, sim::DeviceSpec::tesla_c2075());
   sim::FaultPlan plan;
   plan.seed = 8;
   plan.device_loss_rate = 1.0;
-  FaultScope scope(plan);
+  FaultRuntime rt(plan);
+  sim::DeviceGroup group(2, sim::DeviceSpec::tesla_c2075(), {}, false, rt);
   try {
     group.launch_sharded(2, std::vector<int>{0, 1}, {},
                          [](sim::BlockContext&, int) {}, nullptr, "chaos");
@@ -284,28 +279,31 @@ DynamicBc::Options gpu_options(int devices, const RecoveryPolicy& recovery) {
 
 TEST(Recovery, ExhaustionWithoutFallbackThrows) {
   const CSRGraph g = test::gnp_graph(40, 0.12, 7);
-  DynamicBc analytic(g,
-                     gpu_options(1, {.max_retries = 2,
-                                     .fallback_recompute = false}));
+  sim::Runtime rt;
+  DynamicBc analytic(
+      g, gpu_options(1, {.max_retries = 2, .fallback_recompute = false}),
+      rt);
   analytic.compute();
   sim::FaultPlan plan;
   plan.seed = 17;
   plan.kernel_abort_rate = 1.0;
   plan.site_filter = "insert";
-  FaultScope scope(plan);
-  trace::metrics().reset();
+  rt.faults.configure(plan);
+  rt.faults.set_enabled(true);
   BCDYN_SEEDED_RNG(rng, 77);
   const auto [u, v] = test::random_absent_edge(analytic.graph(), rng);
   EXPECT_THROW(analytic.insert_edge(u, v), sim::FaultError);
-  EXPECT_EQ(trace::metrics().counter_value("bc.fault.exhausted.count"), 1u);
-  EXPECT_EQ(trace::metrics().counter_value("bc.fault.retries.count"), 2u);
-  EXPECT_EQ(trace::metrics().counter_value("bc.fault.recovered.count"), 0u);
+  EXPECT_EQ(rt.metrics.counter_value("bc.fault.exhausted.count"), 1u);
+  EXPECT_EQ(rt.metrics.counter_value("bc.fault.retries.count"), 2u);
+  EXPECT_EQ(rt.metrics.counter_value("bc.fault.recovered.count"), 0u);
 }
 
 TEST(Recovery, FallbackRecomputesWhenRetriesExhaust) {
   const CSRGraph g = test::gnp_graph(40, 0.12, 7);
-  DynamicBc analytic(g, gpu_options(1, {.max_retries = 1,
-                                        .fallback_recompute = true}));
+  sim::Runtime rt;
+  DynamicBc analytic(
+      g, gpu_options(1, {.max_retries = 1, .fallback_recompute = true}),
+      rt);
   analytic.compute();
   sim::FaultPlan plan;
   plan.seed = 17;
@@ -313,14 +311,14 @@ TEST(Recovery, FallbackRecomputesWhenRetriesExhaust) {
   // Only dynamic-update launches fault; the static_bc.* fallback launches
   // stay clean, so the recompute succeeds.
   plan.site_filter = "insert";
-  FaultScope scope(plan);
-  trace::metrics().reset();
+  rt.faults.configure(plan);
+  rt.faults.set_enabled(true);
   BCDYN_SEEDED_RNG(rng, 78);
   const auto [u, v] = test::random_absent_edge(analytic.graph(), rng);
   const UpdateOutcome outcome = analytic.insert_edge(u, v);
   EXPECT_EQ(outcome.recomputed_sources, 12);
   EXPECT_EQ(
-      trace::metrics().counter_value("bc.fault.fallback_recompute.count"), 1u);
+      rt.metrics.counter_value("bc.fault.fallback_recompute.count"), 1u);
   // The fallback abandons the incremental patch; scores match a from-
   // scratch recompute to FP rounding.
   EXPECT_LE(analytic.verify_against_recompute(), 1e-9);
@@ -328,21 +326,23 @@ TEST(Recovery, FallbackRecomputesWhenRetriesExhaust) {
 
 TEST(Recovery, FaultedFallbackPropagates) {
   const CSRGraph g = test::gnp_graph(40, 0.12, 7);
-  DynamicBc analytic(g, gpu_options(1, {.max_retries = 1,
-                                        .fallback_recompute = true}));
+  sim::Runtime rt;
+  DynamicBc analytic(
+      g, gpu_options(1, {.max_retries = 1, .fallback_recompute = true}),
+      rt);
   analytic.compute();
   sim::FaultPlan plan;
   plan.seed = 17;
   plan.kernel_abort_rate = 1.0;  // every launch aborts, fallback included
-  FaultScope scope(plan);
-  trace::metrics().reset();
+  rt.faults.configure(plan);
+  rt.faults.set_enabled(true);
   BCDYN_SEEDED_RNG(rng, 79);
   const auto [u, v] = test::random_absent_edge(analytic.graph(), rng);
   EXPECT_THROW(analytic.insert_edge(u, v), sim::FaultError);
   // Both the update pass and the fallback recompute exhausted.
-  EXPECT_EQ(trace::metrics().counter_value("bc.fault.exhausted.count"), 2u);
+  EXPECT_EQ(rt.metrics.counter_value("bc.fault.exhausted.count"), 2u);
   EXPECT_EQ(
-      trace::metrics().counter_value("bc.fault.fallback_recompute.count"), 1u);
+      rt.metrics.counter_value("bc.fault.fallback_recompute.count"), 1u);
 }
 
 // --- recovered scores: bit-identical to the fault-free reference ----------
@@ -402,7 +402,6 @@ TEST_P(ChaosSoak, RecoveredScoresBitIdenticalToFaultFree) {
   opt.recovery = recovery;
 
   // Fault-free reference.
-  sim::faults().set_enabled(false);
   DynamicBc reference(g, opt);
   reference.compute();
   run_mixed_stream(reference, 4242);
@@ -414,25 +413,25 @@ TEST_P(ChaosSoak, RecoveredScoresBitIdenticalToFaultFree) {
   std::vector<std::string> first_records;
   std::uint64_t first_injected = 0;
   {
-    FaultScope scope(plan);
-    DynamicBc faulty(g, opt);
+    FaultRuntime rt(plan);
+    DynamicBc faulty(g, opt, rt);
     faulty.compute();
     run_mixed_stream(faulty, 4242);
     expect_bit_identical(faulty.scores(), expected, "recovered scores");
-    first_records = record_strings();
-    first_injected = sim::faults().injected();
+    first_records = record_strings(rt.faults);
+    first_injected = rt.faults.injected();
   }
 
   // Same plan, same workload: the fault trajectory replays byte-identically
   // and so do the recovered scores.
   {
-    FaultScope scope(plan);
-    DynamicBc faulty(g, opt);
+    FaultRuntime rt(plan);
+    DynamicBc faulty(g, opt, rt);
     faulty.compute();
     run_mixed_stream(faulty, 4242);
     expect_bit_identical(faulty.scores(), expected, "replayed scores");
-    EXPECT_EQ(record_strings(), first_records);
-    EXPECT_EQ(sim::faults().injected(), first_injected);
+    EXPECT_EQ(record_strings(rt.faults), first_records);
+    EXPECT_EQ(rt.faults.injected(), first_injected);
   }
 }
 
@@ -466,7 +465,6 @@ TEST(ChaosPipeline, TransferFaultsRecoverBitIdentically) {
   };
   const PipelineConfig config{.depth = 2};
 
-  sim::faults().set_enabled(false);
   DynamicBc reference(g, opt);
   reference.compute();
   const PipelineResult clean =
@@ -478,14 +476,14 @@ TEST(ChaosPipeline, TransferFaultsRecoverBitIdentically) {
   plan.seed = 0xC0FFEE;
   plan.transfer_fail_rate = 0.3;
   plan.stall_rate = 0.5;
-  FaultScope scope(plan);
-  DynamicBc faulty(g, opt);
+  FaultRuntime rt(plan);
+  DynamicBc faulty(g, opt, rt);
   faulty.compute();
   const PipelineResult result =
       faulty.insert_edge_batches(make_batches(), config);
   expect_bit_identical(faulty.scores(), expected, "pipelined scores");
   EXPECT_EQ(result.total.inserted, clean.total.inserted);
-  EXPECT_GT(sim::faults().injected(sim::FaultKind::kStreamStall), 0u);
+  EXPECT_GT(rt.faults.injected(sim::FaultKind::kStreamStall), 0u);
   // Stalls and retried transfers only push the modeled schedule out.
   EXPECT_GE(result.modeled_seconds, clean.modeled_seconds);
 }
@@ -493,24 +491,18 @@ TEST(ChaosPipeline, TransferFaultsRecoverBitIdentically) {
 TEST(Chaos, DisabledInjectorLeavesMetricsUntouched) {
   const CSRGraph g = test::gnp_graph(40, 0.12, 7);
   const auto run_metrics = [&](bool enabled_at_zero) {
-    trace::metrics().reset();
-    sim::FaultPlan plan = sim::FaultPlan::uniform(1, 0.0);
-    if (enabled_at_zero) {
-      sim::faults().configure(plan);
-      sim::faults().set_enabled(true);
-    } else {
-      sim::faults().set_enabled(false);
-    }
-    DynamicBc analytic(g, gpu_options(2, {}));
+    sim::Runtime rt;
+    rt.faults.configure(sim::FaultPlan::uniform(1, 0.0));
+    rt.faults.set_enabled(enabled_at_zero);
+    DynamicBc analytic(g, gpu_options(2, {}), rt);
     analytic.compute();
     BCDYN_SEEDED_RNG(rng, 55);
     for (int i = 0; i < 4; ++i) {
       const auto [u, v] = test::random_absent_edge(analytic.graph(), rng);
       analytic.insert_edge(u, v);
     }
-    sim::faults().set_enabled(false);
     std::ostringstream json;
-    trace::metrics().write_json(json);
+    rt.metrics.write_json(json);
     return json.str();
   };
   const std::string plain = run_metrics(false);

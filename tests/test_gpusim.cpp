@@ -185,16 +185,17 @@ void expect_same_counters(const BlockCounters& a, const BlockCounters& b) {
 
 /// Runs `cat` through parallel_for and through the guarded variant (ranged
 /// when `ranges` is set), optionally after one sequential atomic on
-/// `pre_key`; expects identical counters and state. Returns the guarded
-/// sweep for further checks.
+/// `pre_key`; expects identical counters and state. Both blocks run on
+/// `rt`. Returns the guarded sweep for further checks.
 SyntheticSweep expect_guarded_matches_plain(
     const std::vector<int>& cat,
     const std::optional<std::vector<ItemRange>>& ranges = std::nullopt,
-    bool conflicts = false, std::optional<std::uint64_t> pre_key = {}) {
+    bool conflicts = false, std::optional<std::uint64_t> pre_key = {},
+    sim::Runtime& rt = sim::Runtime::process()) {
   const CostModel cm = fractional_costs();
   const DeviceSpec spec = warp_spec();
-  BlockContext plain(spec, cm, 0, conflicts);
-  BlockContext guarded(spec, cm, 0, conflicts);
+  BlockContext plain(spec, cm, 0, conflicts, rt);
+  BlockContext guarded(spec, cm, 0, conflicts, rt);
   if (pre_key) {
     plain.charge_atomic(*pre_key);
     guarded.charge_atomic(*pre_key);
@@ -293,8 +294,9 @@ TEST(GuardedSweep, ConflictWindowsFollowWarpsAcrossExits) {
 }
 
 TEST(GuardedSweep, HazardShadowStepsEveryItem) {
-  const test::HazardScope hazard_scope;
-  const auto b = expect_guarded_matches_plain(mixed_categories(29));
+  test::HazardRuntime rt;
+  const auto b = expect_guarded_matches_plain(mixed_categories(29),
+                                              std::nullopt, false, {}, rt);
   EXPECT_EQ(b.classified, 0u);  // plain stepping: no classification
 }
 

@@ -6,9 +6,9 @@
 // shipped kernel must run hazard-clean across the generator suite on the
 // static, dynamic, batch, and sharded multi-device paths.
 //
-// Built as its own executable (bcdyn_hazard_tests, ctest label "hazard")
-// because the detector is process-wide state that must never be enabled
-// under the main suite's timing assertions.
+// Built as its own executable (bcdyn_hazard_tests, ctest label "hazard");
+// every test arms the detector on its own Runtime, so no other test ever
+// sees it enabled.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -46,8 +46,8 @@ sim::DeviceSpec tiny_spec(int threads = 8) {
 // ---------------------------------------------------------------------
 
 TEST(HazardDetector, WriteWriteSameRoundFlagsWithFullAttribution) {
-  test::HazardScope scope;
-  sim::Device dev(tiny_spec());
+  test::HazardRuntime rt;
+  sim::Device dev(tiny_spec(), {}, false, rt);
   std::vector<int> cell(1, 0);
   dev.launch(
       1,
@@ -56,7 +56,7 @@ TEST(HazardDetector, WriteWriteSameRoundFlagsWithFullAttribution) {
       },
       "ww_racy");
 
-  auto& hz = sim::hazards();
+  auto& hz = rt.hazards;
   EXPECT_EQ(hz.launches_checked(), 1u);
   EXPECT_EQ(hz.violations(), 1u);
   ASSERT_EQ(hz.records().size(), 1u);
@@ -75,8 +75,8 @@ TEST(HazardDetector, WriteWriteSameRoundFlagsWithFullAttribution) {
 }
 
 TEST(HazardDetector, ReadThenWriteAndWriteThenReadBothFlag) {
-  test::HazardScope scope;
-  sim::Device dev(tiny_spec());
+  test::HazardRuntime rt;
+  sim::Device dev(tiny_spec(), {}, false, rt);
   std::vector<int> cell(1, 0);
   dev.launch(
       1,
@@ -87,9 +87,9 @@ TEST(HazardDetector, ReadThenWriteAndWriteThenReadBothFlag) {
         });
       },
       "read_then_write");
-  ASSERT_EQ(sim::hazards().violations(), 1u);
-  EXPECT_EQ(sim::hazards().records()[0].first_kind, HazardAccess::kRead);
-  EXPECT_EQ(sim::hazards().records()[0].second_kind, HazardAccess::kWrite);
+  ASSERT_EQ(rt.hazards.violations(), 1u);
+  EXPECT_EQ(rt.hazards.records()[0].first_kind, HazardAccess::kRead);
+  EXPECT_EQ(rt.hazards.records()[0].second_kind, HazardAccess::kWrite);
 
   dev.launch(
       1,
@@ -100,14 +100,14 @@ TEST(HazardDetector, ReadThenWriteAndWriteThenReadBothFlag) {
         });
       },
       "write_then_read");
-  ASSERT_EQ(sim::hazards().violations(), 2u);
-  EXPECT_EQ(sim::hazards().records()[1].first_kind, HazardAccess::kWrite);
-  EXPECT_EQ(sim::hazards().records()[1].second_kind, HazardAccess::kRead);
+  ASSERT_EQ(rt.hazards.violations(), 2u);
+  EXPECT_EQ(rt.hazards.records()[1].first_kind, HazardAccess::kWrite);
+  EXPECT_EQ(rt.hazards.records()[1].second_kind, HazardAccess::kRead);
 }
 
 TEST(HazardDetector, AtomicVersusPlainWriteFlagsEitherOrder) {
-  test::HazardScope scope;
-  sim::Device dev(tiny_spec());
+  test::HazardRuntime rt;
+  sim::Device dev(tiny_spec(), {}, false, rt);
   std::vector<int> cell(1, 0);
   // Atomic first, plain write second...
   dev.launch(1, [&](BlockContext& ctx) {
@@ -116,9 +116,9 @@ TEST(HazardDetector, AtomicVersusPlainWriteFlagsEitherOrder) {
       if (i == 1) ctx.charge_write(cell, 0);
     });
   });
-  ASSERT_EQ(sim::hazards().violations(), 1u);
-  EXPECT_EQ(sim::hazards().records()[0].first_kind, HazardAccess::kAtomic);
-  EXPECT_EQ(sim::hazards().records()[0].second_kind, HazardAccess::kWrite);
+  ASSERT_EQ(rt.hazards.violations(), 1u);
+  EXPECT_EQ(rt.hazards.records()[0].first_kind, HazardAccess::kAtomic);
+  EXPECT_EQ(rt.hazards.records()[0].second_kind, HazardAccess::kWrite);
   // ...and plain write first, atomic second.
   dev.launch(1, [&](BlockContext& ctx) {
     ctx.parallel_for(2, [&](std::size_t i) {
@@ -126,12 +126,12 @@ TEST(HazardDetector, AtomicVersusPlainWriteFlagsEitherOrder) {
       if (i == 1) ctx.charge_atomic(cell, 0);
     });
   });
-  EXPECT_EQ(sim::hazards().violations(), 2u);
+  EXPECT_EQ(rt.hazards.violations(), 2u);
 }
 
 TEST(HazardDetector, SpanningReadOverlapsSingleElementWrite) {
-  test::HazardScope scope;
-  sim::Device dev(tiny_spec());
+  test::HazardRuntime rt;
+  sim::Device dev(tiny_spec(), {}, false, rt);
   std::vector<int> arr(4, 0);
   // Item 0 writes arr[1]; item 1 reads arr[0..3). The k-element read is
   // tracked per element, so the overlap at arr[1] must flag.
@@ -141,12 +141,12 @@ TEST(HazardDetector, SpanningReadOverlapsSingleElementWrite) {
       if (i == 1) ctx.charge_read(arr, 0, 3);
     });
   });
-  EXPECT_EQ(sim::hazards().violations(), 1u);
+  EXPECT_EQ(rt.hazards.violations(), 1u);
 }
 
 TEST(HazardDetector, StrictModeThrowsAfterRecordingTheViolation) {
-  test::HazardScope scope(/*strict=*/true);
-  sim::Device dev(tiny_spec());
+  test::HazardRuntime rt(/*strict=*/true);
+  sim::Device dev(tiny_spec(), {}, false, rt);
   std::vector<int> cell(1, 0);
   bool threw = false;
   try {
@@ -164,13 +164,13 @@ TEST(HazardDetector, StrictModeThrowsAfterRecordingTheViolation) {
   EXPECT_TRUE(threw);
   // The throw happens after the journal is folded in: counters and records
   // survive for post-mortem inspection.
-  EXPECT_EQ(sim::hazards().violations(), 1u);
-  EXPECT_EQ(sim::hazards().records().size(), 1u);
+  EXPECT_EQ(rt.hazards.violations(), 1u);
+  EXPECT_EQ(rt.hazards.records().size(), 1u);
 }
 
 TEST(HazardDetector, RecordListCapsButViolationCountDoesNot) {
-  test::HazardScope scope;
-  sim::Device dev(tiny_spec(/*threads=*/512));
+  test::HazardRuntime rt;
+  sim::Device dev(tiny_spec(/*threads=*/512), {}, false, rt);
   std::vector<int> cells(100, 0);
   // One round of 200 items, each address written twice: 100 violations,
   // but the record list stays bounded at kMaxRecords.
@@ -178,8 +178,8 @@ TEST(HazardDetector, RecordListCapsButViolationCountDoesNot) {
     ctx.parallel_for(200,
                      [&](std::size_t i) { ctx.charge_write(cells, i % 100); });
   });
-  EXPECT_EQ(sim::hazards().violations(), 100u);
-  EXPECT_EQ(sim::hazards().records().size(), sim::HazardDetector::kMaxRecords);
+  EXPECT_EQ(rt.hazards.violations(), 100u);
+  EXPECT_EQ(rt.hazards.records().size(), sim::HazardDetector::kMaxRecords);
 }
 
 // ---------------------------------------------------------------------
@@ -187,8 +187,8 @@ TEST(HazardDetector, RecordListCapsButViolationCountDoesNot) {
 // ---------------------------------------------------------------------
 
 TEST(HazardDetector, SameItemAndDistinctAddressesNeverFlag) {
-  test::HazardScope scope;
-  sim::Device dev(tiny_spec());
+  test::HazardRuntime rt;
+  sim::Device dev(tiny_spec(), {}, false, rt);
   std::vector<int> arr(8, 0);
   dev.launch(1, [&](BlockContext& ctx) {
     ctx.parallel_for(8, [&](std::size_t i) {
@@ -197,26 +197,26 @@ TEST(HazardDetector, SameItemAndDistinctAddressesNeverFlag) {
       ctx.charge_write(arr, i);
     });
   });
-  EXPECT_EQ(sim::hazards().violations(), 0u);
-  EXPECT_EQ(sim::hazards().tracked_accesses(), 24u);
+  EXPECT_EQ(rt.hazards.violations(), 0u);
+  EXPECT_EQ(rt.hazards.tracked_accesses(), 24u);
 }
 
 TEST(HazardDetector, CrossRoundAccessesNeverFlag) {
-  test::HazardScope scope;
+  test::HazardRuntime rt;
   // One thread per block: every item is its own round, so the two writes
   // to cell 0 are program-ordered, not concurrent.
-  sim::Device dev(tiny_spec(/*threads=*/1));
+  sim::Device dev(tiny_spec(/*threads=*/1), {}, false, rt);
   std::vector<int> cell(1, 0);
   dev.launch(1, [&](BlockContext& ctx) {
     ctx.parallel_for(2, [&](std::size_t) { ctx.charge_write(cell, 0); });
   });
-  EXPECT_EQ(sim::hazards().violations(), 0u);
-  EXPECT_EQ(sim::hazards().tracked_accesses(), 2u);
+  EXPECT_EQ(rt.hazards.violations(), 0u);
+  EXPECT_EQ(rt.hazards.tracked_accesses(), 2u);
 }
 
 TEST(HazardDetector, BarrierSeparatesProducerFromConsumer) {
-  test::HazardScope scope;
-  sim::Device dev(tiny_spec());
+  test::HazardRuntime rt;
+  sim::Device dev(tiny_spec(), {}, false, rt);
   std::vector<int> cell(1, 0);
   // Without the barrier this is the read_then_write fixture above. With a
   // __syncthreads() between the producer's write and the consumer's read,
@@ -228,12 +228,12 @@ TEST(HazardDetector, BarrierSeparatesProducerFromConsumer) {
       if (i == 1) ctx.charge_read(cell, 0);
     });
   });
-  EXPECT_EQ(sim::hazards().violations(), 0u);
+  EXPECT_EQ(rt.hazards.violations(), 0u);
 }
 
 TEST(HazardDetector, AtomicsAreExemptFromEachOtherAndFromReads) {
-  test::HazardScope scope;
-  sim::Device dev(tiny_spec());
+  test::HazardRuntime rt;
+  sim::Device dev(tiny_spec(), {}, false, rt);
   std::vector<int> cell(1, 0);
   dev.launch(1, [&](BlockContext& ctx) {
     // Every item atomically bumps the same counter - the whole point of
@@ -244,12 +244,12 @@ TEST(HazardDetector, AtomicsAreExemptFromEachOtherAndFromReads) {
       ctx.charge_atomic(cell, 0);
     });
   });
-  EXPECT_EQ(sim::hazards().violations(), 0u);
+  EXPECT_EQ(rt.hazards.violations(), 0u);
 }
 
 TEST(HazardDetector, UnaddressedChargesCountAsUntracked) {
-  test::HazardScope scope;
-  sim::Device dev(tiny_spec());
+  test::HazardRuntime rt;
+  sim::Device dev(tiny_spec(), {}, false, rt);
   std::vector<int> arr(2, 0);
   dev.launch(1, [&](BlockContext& ctx) {
     ctx.parallel_for(2, [&](std::size_t i) {
@@ -259,9 +259,9 @@ TEST(HazardDetector, UnaddressedChargesCountAsUntracked) {
       ctx.charge_atomic(0);            // untracked legacy-keyed atomic
     });
   });
-  EXPECT_EQ(sim::hazards().tracked_accesses(), 2u);
-  EXPECT_EQ(sim::hazards().untracked_accesses(), 6u);
-  EXPECT_EQ(sim::hazards().violations(), 0u);
+  EXPECT_EQ(rt.hazards.tracked_accesses(), 2u);
+  EXPECT_EQ(rt.hazards.untracked_accesses(), 6u);
+  EXPECT_EQ(rt.hazards.violations(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -269,7 +269,7 @@ TEST(HazardDetector, UnaddressedChargesCountAsUntracked) {
 // ---------------------------------------------------------------------
 
 TEST(HazardDetector, DisabledDetectorAllocatesNoShadowState) {
-  ASSERT_FALSE(sim::hazards().enabled());
+  ASSERT_FALSE(sim::Runtime::process().hazards.enabled());
   const auto spec = tiny_spec();
   const sim::CostModel cm;
   BlockContext ctx(spec, cm, 0);
@@ -280,8 +280,8 @@ TEST(HazardDetector, DetectionDoesNotChangeModeledCycles) {
   const auto spec = tiny_spec();
   const sim::CostModel cm;
   std::vector<int> arr(8, 0);
-  const auto run = [&](std::uint64_t* violations) {
-    BlockContext ctx(spec, cm, 0, /*track_atomic_conflicts=*/true);
+  const auto run = [&](sim::Runtime& rt, std::uint64_t* violations) {
+    BlockContext ctx(spec, cm, 0, /*track_atomic_conflicts=*/true, rt);
     ctx.parallel_for(16, [&](std::size_t i) {
       ctx.charge_instr(2);
       ctx.charge_read(arr, i % 8);
@@ -294,13 +294,11 @@ TEST(HazardDetector, DetectionDoesNotChangeModeledCycles) {
     }
     return ctx.cycles();
   };
-  const double off = run(nullptr);
-  double on = 0.0;
+  sim::Runtime plain;
+  const double off = run(plain, nullptr);
+  test::HazardRuntime armed;  // non-strict: flags but never throws
   std::uint64_t violations = 0;
-  {
-    test::HazardScope scope;  // non-strict: flags but never throws
-    on = run(&violations);
-  }
+  const double on = run(armed, &violations);
   EXPECT_GT(violations, 0u);
   EXPECT_EQ(off, on);  // bit-identical, not just close
 }
@@ -316,20 +314,21 @@ constexpr double kScale = 0.005;  // suite minimums kick in: ~256 vertices
 class HazardCleanSweep : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(HazardCleanSweep, StaticKernelsRunClean) {
-  test::HazardScope scope(/*strict=*/true);
+  test::HazardRuntime rt(/*strict=*/true);
   const auto entry = gen::build_suite_graph(GetParam(), kScale, 5);
   const ApproxConfig cfg{.num_sources = 6, .seed = 3};
   for (Parallelism mode : {Parallelism::kEdge, Parallelism::kNode}) {
     BcStore store(entry.graph.num_vertices(), cfg);
-    StaticGpuBc engine(sim::DeviceSpec::tesla_c2075(), mode);
+    StaticGpuBc engine(sim::DeviceSpec::tesla_c2075(), mode, {}, 0, false,
+                       rt);
     engine.compute(entry.graph, store);
   }
-  EXPECT_EQ(sim::hazards().violations(), 0u);
-  EXPECT_GT(sim::hazards().tracked_accesses(), 0u);
+  EXPECT_EQ(rt.hazards.violations(), 0u);
+  EXPECT_GT(rt.hazards.tracked_accesses(), 0u);
 }
 
 TEST_P(HazardCleanSweep, DynamicInsertAndRemoveRunClean) {
-  test::HazardScope scope(/*strict=*/true);
+  test::HazardRuntime rt(/*strict=*/true);
   const auto entry = gen::build_suite_graph(GetParam(), kScale, 5);
   CSRGraph g = entry.graph;
   const ApproxConfig cfg{.num_sources = 6, .seed = 3};
@@ -338,8 +337,10 @@ TEST_P(HazardCleanSweep, DynamicInsertAndRemoveRunClean) {
   BcStore node_store(g.num_vertices(), cfg);
   brandes_all(g, edge_store);
   brandes_all(g, node_store);
-  DynamicGpuBc edge_engine(sim::DeviceSpec::tesla_c2075(), Parallelism::kEdge);
-  DynamicGpuBc node_engine(sim::DeviceSpec::tesla_c2075(), Parallelism::kNode);
+  DynamicGpuBc edge_engine(sim::DeviceSpec::tesla_c2075(), Parallelism::kEdge,
+                           {}, 0, false, rt);
+  DynamicGpuBc node_engine(sim::DeviceSpec::tesla_c2075(), Parallelism::kNode,
+                           {}, 0, false, rt);
 
   BCDYN_SEEDED_RNG(rng, 41);
   std::vector<std::pair<VertexId, VertexId>> inserted;
@@ -361,18 +362,19 @@ TEST_P(HazardCleanSweep, DynamicInsertAndRemoveRunClean) {
     edge_engine.remove_edge_update(g, edge_store, u, v);
     node_engine.remove_edge_update(g, node_store, u, v);
   }
-  EXPECT_EQ(sim::hazards().violations(), 0u);
-  EXPECT_GT(sim::hazards().tracked_accesses(), 0u);
+  EXPECT_EQ(rt.hazards.violations(), 0u);
+  EXPECT_GT(rt.hazards.tracked_accesses(), 0u);
 }
 
 TEST_P(HazardCleanSweep, BatchPathRunsClean) {
-  test::HazardScope scope(/*strict=*/true);
+  test::HazardRuntime rt(/*strict=*/true);
   const auto entry = gen::build_suite_graph(GetParam(), kScale, 5);
   CSRGraph g = entry.graph;
   const ApproxConfig cfg{.num_sources = 6, .seed = 3};
   BcStore store(g.num_vertices(), cfg);
   brandes_all(g, store);
-  DynamicGpuBc engine(sim::DeviceSpec::tesla_c2075(), Parallelism::kEdge);
+  DynamicGpuBc engine(sim::DeviceSpec::tesla_c2075(), Parallelism::kEdge, {},
+                      0, false, rt);
 
   BCDYN_SEEDED_RNG(rng, 43);
   // Two flushes, one per threshold regime: incremental and the recompute
@@ -390,7 +392,7 @@ TEST_P(HazardCleanSweep, BatchPathRunsClean) {
     engine.insert_edge_batch(build_batch_snapshots(base, pending), store,
                              BatchConfig{threshold});
   }
-  EXPECT_EQ(sim::hazards().violations(), 0u);
+  EXPECT_EQ(rt.hazards.violations(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Suite, HazardCleanSweep,
@@ -398,11 +400,13 @@ INSTANTIATE_TEST_SUITE_P(Suite, HazardCleanSweep,
                          [](const auto& info) { return info.param; });
 
 TEST(HazardCleanSweepExtra, ShardedMultiDeviceRunsClean) {
-  test::HazardScope scope(/*strict=*/true);
+  test::HazardRuntime rt(/*strict=*/true);
   const auto entry = gen::build_suite_graph("small", 0.25, 7);
-  DynamicBc bc(entry.graph, {.engine = EngineKind::kGpuEdge,
-                             .approx = {.num_sources = 8, .seed = 2},
-                             .num_devices = 2});
+  DynamicBc bc(entry.graph,
+               {.engine = EngineKind::kGpuEdge,
+                .approx = {.num_sources = 8, .seed = 2},
+                .num_devices = 2},
+               rt);
   bc.compute();
   BCDYN_SEEDED_RNG(rng, 47);
   const VertexId n = entry.graph.num_vertices();
@@ -411,8 +415,8 @@ TEST(HazardCleanSweepExtra, ShardedMultiDeviceRunsClean) {
         static_cast<VertexId>(rng.next_below(static_cast<std::uint64_t>(n))),
         static_cast<VertexId>(rng.next_below(static_cast<std::uint64_t>(n))));
   }
-  EXPECT_EQ(sim::hazards().violations(), 0u);
-  EXPECT_GT(sim::hazards().launches_checked(), 0u);
+  EXPECT_EQ(rt.hazards.violations(), 0u);
+  EXPECT_GT(rt.hazards.launches_checked(), 0u);
 }
 
 }  // namespace

@@ -10,8 +10,7 @@
 
 #include "graph/coo.hpp"
 #include "graph/csr_graph.hpp"
-#include "gpusim/fault_injector.hpp"
-#include "gpusim/hazard_detector.hpp"
+#include "gpusim/runtime.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
@@ -27,49 +26,23 @@
 
 namespace bcdyn::test {
 
-/// RAII: turns the process-wide shadow-memory hazard detector on for a
-/// scope (optionally strict, where any flagged race throws HazardError),
-/// then restores the previous flags. Captured state is cleared on entry so
-/// violation counts read inside the scope belong to this scope.
-class HazardScope {
- public:
-  explicit HazardScope(bool strict = false)
-      : was_enabled_(sim::hazards().enabled()),
-        was_strict_(sim::hazards().strict()) {
-    sim::hazards().clear();
-    sim::hazards().set_enabled(true);
-    sim::hazards().set_strict(strict);
+/// A test-local Runtime with its shadow-memory hazard detector on
+/// (optionally strict, where any flagged race throws HazardError). Pass it
+/// to the devices or engines under test; nothing else records into it.
+struct HazardRuntime : sim::Runtime {
+  explicit HazardRuntime(bool strict = false) {
+    hazards.set_enabled(true);
+    hazards.set_strict(strict);
   }
-  HazardScope(const HazardScope&) = delete;
-  HazardScope& operator=(const HazardScope&) = delete;
-  ~HazardScope() {
-    sim::hazards().set_enabled(was_enabled_);
-    sim::hazards().set_strict(was_strict_);
-  }
-
- private:
-  bool was_enabled_;
-  bool was_strict_;
 };
 
-/// RAII: installs a plan on the process-wide fault injector and enables it
-/// for the scope; restores the previous enabled flag on exit, so a failed
-/// assertion cannot leak an armed injector into later tests. configure()
-/// restarts every per-site decision sequence, so each scope replays its
-/// plan from decision 0.
-class FaultScope {
- public:
-  explicit FaultScope(const sim::FaultPlan& plan)
-      : was_enabled_(sim::faults().enabled()) {
-    sim::faults().configure(plan);
-    sim::faults().set_enabled(true);
+/// A test-local Runtime whose fault injector is armed with `plan`, replayed
+/// from decision 0.
+struct FaultRuntime : sim::Runtime {
+  explicit FaultRuntime(const sim::FaultPlan& plan) {
+    faults.configure(plan);
+    faults.set_enabled(true);
   }
-  FaultScope(const FaultScope&) = delete;
-  FaultScope& operator=(const FaultScope&) = delete;
-  ~FaultScope() { sim::faults().set_enabled(was_enabled_); }
-
- private:
-  bool was_enabled_;
 };
 
 inline CSRGraph path_graph(VertexId n) {

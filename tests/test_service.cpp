@@ -8,11 +8,8 @@
 // count, because coalesced batches reuse the batch path whose scores
 // match sequential application; (4) bounded-queue admission sheds exactly
 // the reads the policy names; (5) a mid-batch device loss under the
-// recovery policy still publishes a correct epoch.
-//
-// This binary owns the process-wide telemetry/fault singletons for some
-// cases (like the pipeline/chaos suites), so it runs under its own ctest
-// label (`service`).
+// recovery policy still publishes a correct epoch; (6) two Services on
+// their own sim::Runtimes do not see each other's metrics or faults.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -469,12 +466,12 @@ TEST(Service, RejectNewShedsTheIncomingRead) {
 }
 
 TEST(Service, ShedAccountingMatchesMetrics) {
-  trace::metrics().reset();
   const CSRGraph g = test::gnp_graph(24, 0.25, 2);
   ServiceConfig config;
   config.queue_depth = 1;
   config.read_cost_seconds = 1.0;
-  Service service(g, gpu_options(), config);
+  sim::Runtime rt;
+  Service service(g, gpu_options(), config, rt);
   std::vector<Request> stream;
   for (int i = 0; i < 4; ++i) {
     stream.push_back({.client_id = 7,
@@ -483,7 +480,7 @@ TEST(Service, ShedAccountingMatchesMetrics) {
                       .u = 1});
   }
   service.run(std::move(stream));
-  auto& m = trace::metrics();
+  auto& m = rt.metrics;
   EXPECT_EQ(m.counter_value("bc.service.requests.count"), 4u);
   EXPECT_EQ(m.counter_value("bc.service.reads.count"), 4u);
   EXPECT_EQ(m.counter_value("bc.service.reads.shed.count"),
@@ -496,12 +493,12 @@ TEST(Service, ShedAccountingMatchesMetrics) {
 // --- the disabled layer's zero footprint ----------------------------------
 
 TEST(Service, NoServiceMeansNoServiceKeysAndUnchangedReport) {
-  trace::metrics().reset();
   const CSRGraph g = test::gnp_graph(28, 0.2, 6);
-  bc::Session session(g, gpu_options());
+  sim::Runtime rt;
+  bc::Session session(g, gpu_options(), rt);
   session.compute();
   session.insert_edge(0, 9);
-  for (const auto& [name, value] : trace::metrics().counters()) {
+  for (const auto& [name, value] : rt.metrics.counters()) {
     EXPECT_EQ(name.rfind("bc.service.", 0), std::string::npos)
         << "unexpected service key " << name;
   }
@@ -509,10 +506,10 @@ TEST(Service, NoServiceMeansNoServiceKeysAndUnchangedReport) {
 }
 
 TEST(Service, ReportGainsServiceSectionAfterTraffic) {
-  trace::metrics().reset();
   const CSRGraph g = test::gnp_graph(28, 0.2, 6);
   BCDYN_SEEDED_RNG(rng, 222);
-  Service service(g, gpu_options());
+  sim::Runtime rt;
+  Service service(g, gpu_options(), {}, rt);
   service.run(make_stream(g, 12, 3, 2e-6, rng));
   const std::string report = service.session().report();
   EXPECT_NE(report.find("== service =="), std::string::npos);
@@ -522,20 +519,18 @@ TEST(Service, ReportGainsServiceSectionAfterTraffic) {
 // --- telemetry read series ------------------------------------------------
 
 TEST(Service, ServedReadsFeedTelemetryKindReadSeries) {
-  trace::metrics().reset();
   const CSRGraph g = test::gnp_graph(28, 0.2, 3);
   BCDYN_SEEDED_RNG(rng, 333);
-  bc::Options options = gpu_options();
-  options.runtime.telemetry = true;
-  options.runtime.telemetry_config.window = 64;
-  Service service(g, options);
+  sim::Runtime rt;
+  rt.telemetry.configure({.window = 64});
+  rt.telemetry.set_enabled(true);
+  Service service(g, gpu_options(), {}, rt);
   service.run(make_stream(g, 20, 4, 2e-6, rng));
 
-  const auto snapshot = trace::telemetry().snapshot();
+  const auto snapshot = rt.telemetry.snapshot();
   ASSERT_TRUE(snapshot.series.count("kind:read"));
   EXPECT_EQ(snapshot.series.at("kind:read").total,
             service.stats().reads_served);
-  trace::telemetry().set_enabled(false);
 }
 
 // --- fault soak -----------------------------------------------------------
@@ -566,23 +561,123 @@ TEST(Service, MidBatchDeviceLossStillPublishesCorrectEpochs) {
   // recompute fallback stays off - it would swap the incremental path
   // for a static recompute and break bit-identity (the same reason the
   // chaos soak disables it).
-  trace::metrics().reset();
   bc::Options options = gpu_options(EngineKind::kGpuEdge, 2);
-  options.runtime.fault_injection = true;
-  options.runtime.fault_plan.seed = 2024;
-  options.runtime.fault_plan.device_loss_rate = 1.0;
-  options.runtime.fault_plan.site_filter = "dev0.loss";
   options.recovery = {.max_retries = 10, .fallback_recompute = false};
-  Service service(g, options, config);
+  test::FaultRuntime rt({.seed = 2024,
+                         .device_loss_rate = 1.0,
+                         .site_filter = "dev0.loss"});
+  Service service(g, options, config, rt);
   service.run(stream);
 
-  EXPECT_GT(trace::metrics().counter_value("sim.fault.injected.count"), 0u)
+  EXPECT_GT(rt.metrics.counter_value("sim.fault.injected.count"), 0u)
       << "fixture must actually inject faults";
   EXPECT_EQ(service.snapshots().latest_epoch(), reference_epoch);
   const std::vector<double> recovered(service.session().scores().begin(),
                                       service.session().scores().end());
   EXPECT_EQ(recovered, reference);
   EXPECT_TRUE(service.snapshots().latest().valid());
+}
+
+// --- one Runtime per Service ---------------------------------------------
+
+/// What one Service run leaves behind: its final scores and the metrics
+/// JSON of the runtime it recorded into.
+struct ServedRun {
+  std::vector<double> scores;
+  std::string metrics;
+};
+
+ServedRun served(const Service& service, const sim::Runtime& rt) {
+  ServedRun run;
+  run.scores.assign(service.session().scores().begin(),
+                    service.session().scores().end());
+  std::ostringstream json;
+  rt.metrics.write_json(json);
+  run.metrics = json.str();
+  return run;
+}
+
+/// The keys of `reg` in the families a Service and its engines record.
+std::vector<std::string> analytic_keys(const trace::MetricsRegistry& reg) {
+  std::vector<std::string> keys;
+  const auto keep = [&](const std::string& name) {
+    for (const char* prefix : {"bc.", "sim.", "batch."}) {
+      if (name.rfind(prefix, 0) == 0) keys.push_back(name);
+    }
+  };
+  for (const auto& [name, value] : reg.counters()) keep(name);
+  for (const auto& [name, value] : reg.gauges()) keep(name);
+  for (const auto& [name, value] : reg.histograms()) keep(name);
+  return keys;
+}
+
+TEST(ServiceRuntime, InterleavedServicesMatchTheirSoloRuns) {
+  const CSRGraph g = test::gnp_graph(40, 0.12, 12);
+  BCDYN_SEEDED_RNG(rng, 555);
+  const auto stream = make_stream(g, 24, 12, 2e-6, rng, /*with_removals=*/true);
+  const std::size_t half = stream.size() / 2;
+  const std::vector<Request> first(stream.begin(),
+                                   stream.begin() +
+                                       static_cast<std::ptrdiff_t>(half));
+  const std::vector<Request> second(
+      stream.begin() + static_cast<std::ptrdiff_t>(half), stream.end());
+  ServiceConfig config;
+  config.coalesce_window_seconds = 40e-6;
+  config.coalesce_depth = 8;
+  const bc::Options edge = gpu_options(EngineKind::kGpuEdge, 1);
+  bc::Options node = gpu_options(EngineKind::kGpuNode, 2);
+  node.recovery = {.max_retries = 10, .fallback_recompute = false};
+
+  const auto solo = [&](const bc::Options& options) {
+    sim::Runtime rt;
+    Service service(g, options, config, rt);
+    service.run(first);
+    service.run(second);
+    return served(service, rt);
+  };
+  const ServedRun edge_solo = solo(edge);
+  const ServedRun node_solo = solo(node);
+  ASSERT_NE(edge_solo.metrics.find("bc.service.commits.count"),
+            std::string::npos);
+
+  const std::vector<std::string> process_keys =
+      analytic_keys(sim::Runtime::process().metrics);
+  {
+    sim::Runtime rt_edge;
+    sim::Runtime rt_node;
+    Service a(g, edge, config, rt_edge);
+    Service b(g, node, config, rt_node);
+    a.run(first);
+    b.run(first);
+    a.run(second);
+    b.run(second);
+    const ServedRun a_run = served(a, rt_edge);
+    const ServedRun b_run = served(b, rt_node);
+    EXPECT_EQ(a_run.scores, edge_solo.scores);
+    EXPECT_EQ(a_run.metrics, edge_solo.metrics);
+    EXPECT_EQ(b_run.scores, node_solo.scores);
+    EXPECT_EQ(b_run.metrics, node_solo.metrics);
+  }
+  EXPECT_EQ(analytic_keys(sim::Runtime::process().metrics), process_keys);
+
+  // A fault plan armed on one runtime stays there: dev0 of the node
+  // service dies at its first group launch, and the edge service running
+  // alongside still reproduces its solo run exactly.
+  sim::Runtime rt_edge;
+  test::FaultRuntime rt_node(
+      {.seed = 2024, .device_loss_rate = 1.0, .site_filter = "dev0.loss"});
+  Service a(g, edge, config, rt_edge);
+  Service b(g, node, config, rt_node);
+  a.run(first);
+  b.run(first);
+  a.run(second);
+  b.run(second);
+  EXPECT_GT(rt_node.faults.injected(), 0u);
+  EXPECT_EQ(rt_edge.faults.injected(), 0u);
+  const ServedRun a_run = served(a, rt_edge);
+  EXPECT_EQ(a_run.scores, edge_solo.scores);
+  EXPECT_EQ(a_run.metrics, edge_solo.metrics);
+  EXPECT_EQ(analytic_keys(sim::Runtime::process().metrics), process_keys);
 }
 
 // --- UpdateOutcome aggregation --------------------------------------------

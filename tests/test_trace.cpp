@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "gpusim/device.hpp"
+#include "gpusim/runtime.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/json.hpp"
 #include "trace/metrics.hpp"
@@ -21,29 +22,23 @@ namespace {
 
 using trace::TraceEvent;
 
-/// Every test runs against the process-wide tracer, so reset it around
-/// each test and leave it disabled (the default) afterwards.
+/// Every test records into its own Runtime, traced from the start.
 class TraceTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    trace::tracer().set_enabled(true);
-    trace::tracer().clear();
-  }
-  void TearDown() override {
-    trace::tracer().set_enabled(false);
-    trace::tracer().clear();
-  }
+  void SetUp() override { rt.tracer.set_enabled(true); }
+
+  sim::Runtime rt;
 };
 
 TEST_F(TraceTest, SpansStrictlyNestAndValidate) {
   {
-    trace::Span outer("outer", "test", {{"depth", 0}});
+    trace::Span outer(rt.tracer, "outer", "test", {{"depth", 0}});
     {
-      trace::Span inner("inner", "test", {{"depth", 1}});
+      trace::Span inner(rt.tracer, "inner", "test", {{"depth", 1}});
     }
-    trace::Span sibling("sibling", "test");
+    trace::Span sibling(rt.tracer, "sibling", "test");
   }
-  const auto events = trace::tracer().events();
+  const auto events = rt.tracer.events();
   ASSERT_EQ(events.size(), 6u);  // three B/E pairs
 
   // B(outer) B(inner) E B(sibling) E E — sibling closes before outer
@@ -69,30 +64,29 @@ TEST_F(TraceTest, SpansStrictlyNestAndValidate) {
 }
 
 TEST_F(TraceTest, UnbalancedSpanFailsValidation) {
-  trace::tracer().begin("left-open", "test");
-  const auto problems = trace::validate_events(trace::tracer().events());
+  rt.tracer.begin("left-open", "test");
+  const auto problems = trace::validate_events(rt.tracer.events());
   ASSERT_FALSE(problems.empty());
   EXPECT_NE(problems[0].find("left-open"), std::string::npos);
 }
 
 TEST_F(TraceTest, DisabledTracerRecordsNothing) {
-  trace::tracer().set_enabled(false);
-  trace::tracer().clear();
+  rt.tracer.set_enabled(false);
   {
-    trace::Span span("ignored", "test");
-    trace::tracer().instant("ignored", "test");
-    trace::tracer().counter("ignored", 1.0);
+    trace::Span span(rt.tracer, "ignored", "test");
+    rt.tracer.instant("ignored", "test");
+    rt.tracer.counter("ignored", 1.0);
   }
-  sim::Device device(sim::DeviceSpec::gtx_560());
+  sim::Device device(sim::DeviceSpec::gtx_560(), {}, false, rt);
   device.launch(4, [](sim::BlockContext& ctx) { ctx.charge_instr(8); },
                 "untraced");
-  EXPECT_EQ(trace::tracer().event_count(), 0u);
+  EXPECT_EQ(rt.tracer.event_count(), 0u);
   // The schedule is still recorded locally (it never depends on tracing).
   EXPECT_EQ(device.last_timeline().placements.size(), 4u);
 }
 
 TEST_F(TraceTest, LaunchBlocksAppearExactlyOnce) {
-  sim::Device device(sim::DeviceSpec::gtx_560());
+  sim::Device device(sim::DeviceSpec::gtx_560(), {}, false, rt);
   constexpr int kBlocks = 11;  // more blocks than the 7 SMs => queuing
   device.launch(
       kBlocks,
@@ -101,7 +95,7 @@ TEST_F(TraceTest, LaunchBlocksAppearExactlyOnce) {
       },
       "test.launch");
 
-  const auto events = trace::tracer().events();
+  const auto events = rt.tracer.events();
   EXPECT_TRUE(trace::validate_events(events).empty());
 
   std::vector<int> indices;
@@ -127,7 +121,7 @@ TEST_F(TraceTest, LaunchBlocksAppearExactlyOnce) {
 }
 
 TEST_F(TraceTest, LaunchQueueJobsAppearExactlyOnce) {
-  sim::Device device(sim::DeviceSpec::tesla_c2075());
+  sim::Device device(sim::DeviceSpec::tesla_c2075(), {}, false, rt);
   constexpr int kJobs = 37;  // skewed job sizes across 14 resident lanes
   device.launch_queue(
       kJobs,
@@ -137,7 +131,7 @@ TEST_F(TraceTest, LaunchQueueJobsAppearExactlyOnce) {
       },
       nullptr, "test.batch");
 
-  const auto events = trace::tracer().events();
+  const auto events = rt.tracer.events();
   EXPECT_TRUE(trace::validate_events(events).empty());
 
   std::vector<int> indices;
@@ -152,12 +146,12 @@ TEST_F(TraceTest, LaunchQueueJobsAppearExactlyOnce) {
 }
 
 TEST_F(TraceTest, BackToBackLaunchesDoNotOverlap) {
-  sim::Device device(sim::DeviceSpec::gtx_560());
+  sim::Device device(sim::DeviceSpec::gtx_560(), {}, false, rt);
   for (int rep = 0; rep < 3; ++rep) {
     device.launch(9, [](sim::BlockContext& ctx) { ctx.charge_instr(16); },
                   "test.repeat");
   }
-  const auto events = trace::tracer().events();
+  const auto events = rt.tracer.events();
   // The validator includes the per-SM overlap check: three launches on a
   // shared modeled-time axis must lay out back to back.
   EXPECT_TRUE(trace::validate_events(events).empty());
@@ -189,15 +183,15 @@ TEST_F(TraceTest, ValidatorFlagsManufacturedOverlap) {
 
 TEST_F(TraceTest, ChromeTraceRoundTripsThroughParser) {
   {
-    trace::Span span("host.work", "test", {{"n", 42}});
-    sim::Device device(sim::DeviceSpec::gtx_560());
+    trace::Span span(rt.tracer, "host.work", "test", {{"n", 42}});
+    sim::Device device(sim::DeviceSpec::gtx_560(), {}, false, rt);
     device.launch(5, [](sim::BlockContext& ctx) { ctx.charge_instr(4); },
                   "test.export");
   }
-  const auto events = trace::tracer().events();
+  const auto events = rt.tracer.events();
   ASSERT_FALSE(events.empty());
 
-  const std::string json = trace::chrome_trace_string(trace::tracer());
+  const std::string json = trace::chrome_trace_string(rt.tracer);
   const auto parsed = trace::parse_json(json);
   ASSERT_TRUE(parsed.ok) << parsed.error;
   const auto* trace_events = parsed.value.find("traceEvents");
@@ -389,13 +383,13 @@ TEST_F(TraceTest, HistogramBucketsAreLog2) {
 }
 
 TEST_F(TraceTest, ReportMentionsNamedLaunches) {
-  sim::Device device(sim::DeviceSpec::gtx_560());
+  sim::Device device(sim::DeviceSpec::gtx_560(), {}, false, rt);
   device.launch(4, [](sim::BlockContext& ctx) { ctx.charge_instr(8); },
                 "test.report_kernel");
   trace::MetricsRegistry reg;
   reg.add("bc.case2.count", 9);
   const std::string report =
-      trace::report_string(trace::tracer(), reg);
+      trace::report_string(rt.tracer, reg, rt.telemetry);
   EXPECT_NE(report.find("test.report_kernel"), std::string::npos);
   EXPECT_NE(report.find("case mix"), std::string::npos);
 }

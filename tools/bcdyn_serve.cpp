@@ -192,18 +192,19 @@ struct RunResult {
   bc::ServiceStats stats;
 };
 
-RunResult run_once(const CSRGraph& g, const Options& opt) {
+/// Serves the stream through a fresh Service recording into `rt`.
+RunResult run_once(const CSRGraph& g, const Options& opt, sim::Runtime& rt) {
   bc::Options options;
   options.engine = parse_engine_flag(opt.std_flags.engine);
   options.approx = {.num_sources = opt.sources, .seed = opt.seed};
   options.num_devices = opt.std_flags.devices;
   if (!opt.std_flags.telemetry.empty()) {
-    options.runtime.telemetry = true;
-    options.runtime.telemetry_config.window = opt.std_flags.window;
+    rt.telemetry.configure({.window = opt.std_flags.window});
+    rt.telemetry.set_enabled(true);
   }
   bc::ServiceConfig config = bc::service_config_from_flags(opt.service_flags);
   config.fused_commits = !opt.sequential;
-  bc::Service service(g, options, config);
+  bc::Service service(g, options, config, rt);
   const auto stream = opt.replay_path.empty() ? make_stream(g, opt)
                                               : read_stream(opt.replay_path);
   RunResult result;
@@ -306,12 +307,13 @@ int main(int argc, char** argv) {
               << "us, depth=" << opt.service_flags.depth
               << ", commits=" << (opt.sequential ? "sequential" : "fused")
               << "\n\n";
-    const RunResult first = run_once(entry.graph, opt);
+    sim::Runtime rt;
+    const RunResult first = run_once(entry.graph, opt, rt);
     print_stats(first.stats);
 
     if (opt.verify) {
-      trace::metrics().reset();
-      const RunResult second = run_once(entry.graph, opt);
+      sim::Runtime replay_rt;
+      const RunResult second = run_once(entry.graph, opt, replay_rt);
       if (first.dump != second.dump || first.scores != second.scores) {
         std::cerr << "\nVERIFY FAILED: replay was not byte-identical\n";
         return 1;
@@ -327,16 +329,16 @@ int main(int argc, char** argv) {
     }
     if (opt.report) {
       std::cout << "\n"
-                << trace::report_string(trace::tracer(), trace::metrics());
+                << trace::report_string(rt.tracer, rt.metrics, rt.telemetry);
     }
     if (!opt.std_flags.telemetry.empty()) {
       std::ofstream f(opt.std_flags.telemetry);
-      trace::telemetry().write_json_snapshot(f);
+      rt.telemetry.write_json_snapshot(f);
       std::cout << "telemetry snapshot -> " << opt.std_flags.telemetry << "\n";
     }
     if (!opt.std_flags.metrics.empty()) {
       std::ofstream f(opt.std_flags.metrics);
-      trace::metrics().write_json(f);
+      rt.metrics.write_json(f);
       std::cout << "metrics JSON -> " << opt.std_flags.metrics << "\n";
     }
     return 0;
